@@ -1,12 +1,13 @@
-// Microbenchmark for the la/ math core: GFLOP/s of the deterministic blocked
-// GEMM kernels and of the runtime-dispatched packed SIMD microkernels
-// (MatMulInto, MatMulTransposedAInto/BInto) against an in-file naive
-// reference, plus Transpose bandwidth — the numbers every future kernel
-// change has to beat. Results append into BENCH_perf.json (see
-// exp::BenchJsonSink) to seed the repository's perf trajectory:
-//   la_gemm_<n>_matmul*  — deterministic blocked kernels (the pre-SIMD path)
-//   la_gemm_<n>_kernel*  — dispatched packed microkernels (the fast path)
-//   la_kernel_path       — numeric dispatch tier the fast path resolved to
+// Microbenchmark for the la/ math core: GFLOP/s of the runtime-dispatched
+// packed microkernels (MatMulInto, MatMulTransposedAInto/BInto) against two
+// frozen in-file references — the naive ikj loop and the cache-blocked
+// kernel that was the library's MatMul before the packed microkernels —
+// plus Transpose bandwidth: the numbers every future kernel change has to
+// beat. Results append into BENCH_perf.json (see exp::BenchJsonSink):
+//   la_gemm_<n>_naive    — the naive reference
+//   la_gemm_<n>_matmul   — the frozen blocked reference (pre-SIMD MatMul)
+//   la_gemm_<n>_kernel*  — dispatched packed microkernels
+//   la_kernel_path       — numeric dispatch tier the packed path resolved to
 //
 // Usage:
 //   bench_la [--smoke] [--threads=N] [--json=PATH] [--assert-speedup=X]
@@ -18,9 +19,10 @@
 // on shows up here, not in production runs.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
-// deterministic blocked kernels by at least X (geometric mean over the
-// MatMul ratios at sizes >= 128, both measured in this same run so machine
-// throttling cancels out) — the release-perf CI gate.
+// blocked reference by at least X (geometric mean over the MatMul ratios at
+// sizes >= 128, both measured in this same run so machine throttling
+// cancels out) — the release-perf CI gate.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -64,6 +66,74 @@ Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
     }
   }
   return out;
+}
+
+/// The cache-blocked MatMul the library ran before the packed microkernels,
+/// frozen here as the --assert-speedup baseline: a kBlockK x kBlockJ panel
+/// of b stays L2-resident, the reduction unrolls 4-way with one ascending-k
+/// chain per element, and rows split over la::ParallelFor exactly as the
+/// library's MatMulInto did (same FLOP threshold and row grain).
+void BlockedMatMulRowRange(const Matrix& a, const Matrix& b, Matrix* out,
+                           std::size_t r0, std::size_t r1) {
+  constexpr std::size_t kBlockK = 64;
+  constexpr std::size_t kBlockJ = 128;
+  const std::size_t k = a.cols();
+  const std::size_t m = b.cols();
+  for (std::size_t i = r0; i < r1; ++i) {
+    double* orow = out->RowPtr(i);
+    std::fill(orow, orow + m, 0.0);
+  }
+  for (std::size_t j0 = 0; j0 < m; j0 += kBlockJ) {
+    const std::size_t j1 = std::min(j0 + kBlockJ, m);
+    for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
+      const std::size_t p1 = std::min(p0 + kBlockK, k);
+      for (std::size_t i = r0; i < r1; ++i) {
+        const double* arow = a.RowPtr(i);
+        double* orow = out->RowPtr(i);
+        std::size_t p = p0;
+        for (; p + 4 <= p1; p += 4) {
+          const double a0 = arow[p];
+          const double a1 = arow[p + 1];
+          const double a2 = arow[p + 2];
+          const double a3 = arow[p + 3];
+          const double* b0 = b.RowPtr(p);
+          const double* b1 = b.RowPtr(p + 1);
+          const double* b2 = b.RowPtr(p + 2);
+          const double* b3 = b.RowPtr(p + 3);
+          for (std::size_t j = j0; j < j1; ++j) {
+            double t = orow[j];
+            t += a0 * b0[j];
+            t += a1 * b1[j];
+            t += a2 * b2[j];
+            t += a3 * b3[j];
+            orow[j] = t;
+          }
+        }
+        for (; p < p1; ++p) {
+          const double aval = arow[p];
+          const double* brow = b.RowPtr(p);
+          for (std::size_t j = j0; j < j1; ++j) orow[j] += aval * brow[j];
+        }
+      }
+    }
+  }
+}
+
+void BlockedMatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  out->Resize(a.rows(), b.cols());
+  const std::size_t rows = a.rows();
+  const std::size_t flops_per_row = a.cols() * b.cols();
+  const auto kernel = [&](std::size_t r0, std::size_t r1) {
+    BlockedMatMulRowRange(a, b, out, r0, r1);
+  };
+  if (rows * flops_per_row >= (std::size_t{1} << 21)) {
+    const std::size_t grain = std::clamp<std::size_t>(
+        (std::size_t{1} << 19) / std::max<std::size_t>(flops_per_row, 1), 1,
+        rows);
+    vfl::la::ParallelFor(0, rows, grain, kernel);
+  } else {
+    kernel(0, rows);
+  }
 }
 
 /// Max |x - y| over two equal-shaped matrices, as a fraction of the largest
@@ -165,10 +235,13 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
                   [&] { naive_out = NaiveMatMul(a, b); });
   const double naive_gflops = flops / naive / 1e9;
 
-  // Deterministic blocked kernels: the pre-SIMD baseline the gate divides
-  // by, timed in the same run as the fast path.
-  vfl::la::SetKernelPath(KernelPath::kDeterministic);
-  const GemmGflops blocked = TimeGemms(a, b, naive_out, reps, "deterministic");
+  // Frozen blocked reference: the baseline the gate divides by, timed in the
+  // same run as the packed path.
+  Matrix blocked_out;
+  const double blocked_s =
+      BestSeconds(reps, [&] { BlockedMatMulInto(a, b, &blocked_out); });
+  CheckClose(blocked_out, naive_out, "BlockedMatMulInto");
+  const double blocked_gflops = flops / blocked_s / 1e9;
 
   // Dispatched packed microkernels (VFLFIA_LA_KERNEL still applies: reset
   // re-reads the environment, so a forced-generic CI run times generic).
@@ -194,17 +267,15 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
                          tr / 1e9;
 
   std::printf("%4zu  %8.3f  %9.3f  %9.3f  %8.2f\n", n, naive_gflops,
-              blocked.mm, kernel.mm, tr_gbps);
+              blocked_gflops, kernel.mm, tr_gbps);
   const std::string prefix = "la_gemm_" + std::to_string(n);
   sink.Record(prefix + "_naive", naive_gflops, "gflops");
-  sink.Record(prefix + "_matmul", blocked.mm, "gflops");
-  sink.Record(prefix + "_matmul_ta", blocked.ta, "gflops");
-  sink.Record(prefix + "_matmul_tb", blocked.tb, "gflops");
+  sink.Record(prefix + "_matmul", blocked_gflops, "gflops");
   sink.Record(prefix + "_kernel", kernel.mm, "gflops");
   sink.Record(prefix + "_kernel_ta", kernel.ta, "gflops");
   sink.Record(prefix + "_kernel_tb", kernel.tb, "gflops");
   sink.Record("la_transpose_" + std::to_string(n), tr_gbps, "GB/s");
-  return {n, blocked.mm, kernel.mm};
+  return {n, blocked_gflops, kernel.mm};
 }
 
 }  // namespace

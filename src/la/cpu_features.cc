@@ -83,7 +83,6 @@ void PublishKernelPathGauge(KernelPath path) {
 
 /// Largest supported tier that is <= `path` (kGeneric as the floor).
 KernelPath ClampToSupported(KernelPath path) {
-  if (path == KernelPath::kDeterministic) return path;
   if (path == KernelPath::kAvx512 && CpuSupportsKernelPath(KernelPath::kAvx512))
     return path;
   if (path >= KernelPath::kAvx2 && CpuSupportsKernelPath(KernelPath::kAvx2))
@@ -104,7 +103,7 @@ KernelPath ResolveFromEnvironment() {
   }
   std::fprintf(stderr,
                "VFLFIA_LA_KERNEL=%s is not a kernel path "
-               "(deterministic|generic|avx2|avx512|auto); using auto\n",
+               "(generic|avx2|avx512|auto); using auto\n",
                env);
   return DetectBestKernelPath();
 }
@@ -119,8 +118,6 @@ KernelPath StoreAndPublish(KernelPath path) {
 
 std::string_view KernelPathName(KernelPath path) {
   switch (path) {
-    case KernelPath::kDeterministic:
-      return "deterministic";
     case KernelPath::kGeneric:
       return "generic";
     case KernelPath::kAvx2:
@@ -132,10 +129,9 @@ std::string_view KernelPathName(KernelPath path) {
 }
 
 std::optional<KernelPath> ParseKernelPath(std::string_view name) {
-  if (name == "deterministic" || name == "det") {
-    return KernelPath::kDeterministic;
+  if (name == "generic" || name == "deterministic" || name == "det") {
+    return KernelPath::kGeneric;
   }
-  if (name == "generic") return KernelPath::kGeneric;
   if (name == "avx2") return KernelPath::kAvx2;
   if (name == "avx512") return KernelPath::kAvx512;
   return std::nullopt;
@@ -143,7 +139,6 @@ std::optional<KernelPath> ParseKernelPath(std::string_view name) {
 
 bool CpuSupportsKernelPath(KernelPath path) {
   switch (path) {
-    case KernelPath::kDeterministic:
     case KernelPath::kGeneric:
       return true;
     case KernelPath::kAvx2:

@@ -9,17 +9,15 @@ namespace vfl::la {
 /// GEMM implementation tiers, ordered by preference. Runtime `cpuid`-based
 /// detection picks the widest tier the host CPU (and this build) supports;
 /// the choice is overridable per process (VFLFIA_LA_KERNEL) or per call site
-/// (SetKernelPath) so tests exercise every tier on one machine.
+/// (SetKernelPath) so tests exercise every tier on one machine. The values
+/// are what the `la.kernel_path` gauge publishes, so they stay fixed.
 enum class KernelPath {
-  /// The pre-SIMD cache-blocked kernels. Every output element accumulates in
-  /// ascending-k order with plain multiply-then-add (no FMA contraction), so
-  /// results are bit-identical across thread counts AND across machines /
-  /// dispatch tiers. Opt-in only (never auto-selected): the reproducibility
-  /// mode, several times slower than the packed microkernels.
-  kDeterministic = 0,
-  /// Packed BLIS-style microkernel in portable scalar C++ (the compiler's
-  /// baseline vectorizer applies). Always available; the floor every other
-  /// tier falls back to.
+  /// Packed BLIS-style microkernel in portable scalar C++ (4x8). Always
+  /// available; the floor every other tier falls back to. The strict
+  /// -std=c++20 build disables FMA contraction, so each output element is a
+  /// plain multiply-then-add chain: bit-identical across machines, and the
+  /// tier to force (VFLFIA_LA_KERNEL=generic) for cross-machine
+  /// reproducibility.
   kGeneric = 1,
   /// Explicit AVX2/FMA 6x8 register-blocked microkernel.
   kAvx2 = 2,
@@ -27,19 +25,21 @@ enum class KernelPath {
   kAvx512 = 3,
 };
 
-/// Lower-case tier name ("deterministic", "generic", "avx2", "avx512").
+/// Lower-case tier name ("generic", "avx2", "avx512").
 std::string_view KernelPathName(KernelPath path);
 
 /// Parses a tier name (as accepted in VFLFIA_LA_KERNEL); nullopt when the
-/// name is unknown. "auto" is not a path — callers handle it separately.
+/// name is unknown. "deterministic" and "det" name the generic tier, the
+/// reproducibility tier under its former name. "auto" is not a path —
+/// callers handle it separately.
 std::optional<KernelPath> ParseKernelPath(std::string_view name);
 
 /// True when `path` can execute here: the host CPU advertises the ISA (with
 /// OS state support, checked via cpuid + xgetbv) and this binary compiled
-/// the tier in. kDeterministic and kGeneric are always supported.
+/// the tier in. kGeneric is always supported.
 bool CpuSupportsKernelPath(KernelPath path);
 
-/// The widest supported non-deterministic tier — what "auto" resolves to.
+/// The widest supported tier — what "auto" resolves to.
 KernelPath DetectBestKernelPath();
 
 /// The tier the GEMM entry points dispatch to. Resolution order: the last

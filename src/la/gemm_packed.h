@@ -6,11 +6,11 @@
 #include "la/cpu_features.h"
 #include "la/matrix.h"
 
-/// Internal API of the packed BLIS-style GEMM: panel packing into aligned
-/// thread-local scratch, the blocked driver, and the per-ISA register-blocked
-/// microkernels it dispatches among. Callers use the MatMul*Into entry points
-/// in matrix_ops.h; this header exists for the kernel TUs, the bench, and the
-/// dispatch tests.
+/// Internal API of the packed BLIS-style GEMM, the only GEMM implementation:
+/// panel packing into aligned thread-local scratch, the blocked driver, and
+/// the per-ISA register-blocked microkernels it dispatches among. Callers use
+/// the MatMul*Into entry points in matrix_ops.h, which send every shape here;
+/// this header exists for the kernel TUs and the dispatch tests.
 namespace vfl::la::internal {
 
 /// One register-blocked microkernel. It multiplies a packed A panel
@@ -41,8 +41,7 @@ const GemmMicrokernel* Avx2Microkernel();
 const GemmMicrokernel* Avx512Microkernel();
 
 /// Microkernel for a dispatch tier, falling back toward generic when a tier
-/// is not compiled in. kDeterministic has no microkernel (the blocked
-/// legacy kernels handle it); passing it returns the generic microkernel.
+/// is not compiled in.
 const GemmMicrokernel* MicrokernelForPath(KernelPath path);
 
 /// Rows [r0, r1) of out = op_a(a) * op_b(b) (+= with `accumulate`), where
@@ -54,7 +53,8 @@ const GemmMicrokernel* MicrokernelForPath(KernelPath path);
 /// are reused across calls and blocks (no per-call allocation in steady
 /// state). Safe to call concurrently from ParallelFor workers on disjoint
 /// row ranges; per-element arithmetic is a pure function of the operand
-/// shapes and the microkernel, never of (r0, r1).
+/// shapes and the microkernel, never of (r0, r1): a row computed alone is
+/// bit-identical to the same row inside any larger product.
 void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
                         bool trans_b, Matrix* out, bool accumulate,
                         const GemmMicrokernel& uk, std::size_t r0,

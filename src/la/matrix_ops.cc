@@ -11,32 +11,8 @@ namespace vfl::la {
 
 namespace {
 
-// Cache blocking for the deterministic (pre-SIMD) kernels: a kBlockK x
-// kBlockJ panel of the streamed operand is 64 KiB (L2-resident) and the
-// matching output row segment fits L1. Register tiling unrolls the reduction
-// 4-way (MatMul/TransposedA) or the output 2x2 (TransposedB) with one
-// independent accumulation chain per output element, so the compiler
-// vectorizes/pipelines without reassociating any per-element sum.
-constexpr std::size_t kBlockK = 64;
-constexpr std::size_t kBlockJ = 128;
 constexpr std::size_t kTransposeBlock = 64;
 constexpr std::size_t kTransposeTile = 8;
-
-/// Below this many multiply-adds the packed fast path skips panel packing
-/// (whose O(m*k + k*n) cost rivals the O(m*k*n) compute for tiny or
-/// single-row products) and runs the blocked kernels instead. Purely
-/// shape-dependent, so a given GEMM always takes the same path.
-constexpr std::size_t kPackedMinMacs = std::size_t{1} << 13;
-
-/// Microkernel for this call, or null when the call should take the
-/// deterministic/blocked path. Resolving the active path here also
-/// publishes the `la.kernel_path` gauge on first use.
-const internal::GemmMicrokernel* PackedKernelForCall(std::size_t macs) {
-  const KernelPath path = ActiveKernelPath();
-  if (path == KernelPath::kDeterministic) return nullptr;
-  if (macs < kPackedMinMacs) return nullptr;
-  return internal::MicrokernelForPath(path);
-}
 
 /// Kernels go parallel only past this many multiply-adds; below it the
 /// ParallelFor handshake costs more than it saves.
@@ -49,150 +25,23 @@ std::size_t RowGrain(std::size_t rows, std::size_t flops_per_row) {
   return std::clamp<std::size_t>(grain, 1, rows);
 }
 
-/// out rows [r0, r1) of out = a * b. Per element the k-reduction ascends, so
-/// any row partition reproduces the serial result bit for bit.
-void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix* out,
-                    std::size_t r0, std::size_t r1) {
-  const std::size_t k = a.cols();
-  const std::size_t m = b.cols();
-  for (std::size_t i = r0; i < r1; ++i) {
-    double* orow = out->RowPtr(i);
-    std::fill(orow, orow + m, 0.0);
-  }
-  for (std::size_t j0 = 0; j0 < m; j0 += kBlockJ) {
-    const std::size_t j1 = std::min(j0 + kBlockJ, m);
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-      const std::size_t p1 = std::min(p0 + kBlockK, k);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* arow = a.RowPtr(i);
-        double* orow = out->RowPtr(i);
-        std::size_t p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          const double a0 = arow[p];
-          const double a1 = arow[p + 1];
-          const double a2 = arow[p + 2];
-          const double a3 = arow[p + 3];
-          const double* b0 = b.RowPtr(p);
-          const double* b1 = b.RowPtr(p + 1);
-          const double* b2 = b.RowPtr(p + 2);
-          const double* b3 = b.RowPtr(p + 3);
-          for (std::size_t j = j0; j < j1; ++j) {
-            double t = orow[j];
-            t += a0 * b0[j];
-            t += a1 * b1[j];
-            t += a2 * b2[j];
-            t += a3 * b3[j];
-            orow[j] = t;
-          }
-        }
-        for (; p < p1; ++p) {
-          const double aval = arow[p];
-          const double* brow = b.RowPtr(p);
-          for (std::size_t j = j0; j < j1; ++j) orow[j] += aval * brow[j];
-        }
-      }
-    }
-  }
-}
-
-/// out rows [r0, r1) of out = a * b^T: independent dot products, 2x2 output
-/// tile sharing row loads, one sequential accumulator per element.
-void MatMulTransposedBRowRange(const Matrix& a, const Matrix& b, Matrix* out,
-                               std::size_t r0, std::size_t r1) {
-  const std::size_t k = a.cols();
-  const std::size_t n_b = b.rows();
-  std::size_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const double* a0 = a.RowPtr(i);
-    const double* a1 = a.RowPtr(i + 1);
-    double* o0 = out->RowPtr(i);
-    double* o1 = out->RowPtr(i + 1);
-    std::size_t j = 0;
-    for (; j + 2 <= n_b; j += 2) {
-      const double* b0 = b.RowPtr(j);
-      const double* b1 = b.RowPtr(j + 1);
-      double acc00 = 0.0, acc01 = 0.0, acc10 = 0.0, acc11 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double av0 = a0[p];
-        const double av1 = a1[p];
-        acc00 += av0 * b0[p];
-        acc01 += av0 * b1[p];
-        acc10 += av1 * b0[p];
-        acc11 += av1 * b1[p];
-      }
-      o0[j] = acc00;
-      o0[j + 1] = acc01;
-      o1[j] = acc10;
-      o1[j + 1] = acc11;
-    }
-    for (; j < n_b; ++j) {
-      const double* brow = b.RowPtr(j);
-      double acc0 = 0.0, acc1 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        acc0 += a0[p] * brow[p];
-        acc1 += a1[p] * brow[p];
-      }
-      o0[j] = acc0;
-      o1[j] = acc1;
-    }
-  }
-  for (; i < r1; ++i) {
-    const double* arow = a.RowPtr(i);
-    double* orow = out->RowPtr(i);
-    for (std::size_t j = 0; j < n_b; ++j) {
-      const double* brow = b.RowPtr(j);
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] = acc;
-    }
-  }
-}
-
-/// out rows [i0, i1) of out (+)= a^T * b: the reduction runs over the shared
-/// row index p of a and b, ascending per element for every row partition.
-void MatMulTransposedARowRange(const Matrix& a, const Matrix& b, Matrix* out,
-                               bool accumulate, std::size_t i0,
-                               std::size_t i1) {
-  const std::size_t n = a.rows();
-  const std::size_t m = b.cols();
-  if (!accumulate) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      double* orow = out->RowPtr(i);
-      std::fill(orow, orow + m, 0.0);
-    }
-  }
-  for (std::size_t j0 = 0; j0 < m; j0 += kBlockJ) {
-    const std::size_t j1 = std::min(j0 + kBlockJ, m);
-    for (std::size_t p0 = 0; p0 < n; p0 += kBlockK) {
-      const std::size_t p1 = std::min(p0 + kBlockK, n);
-      for (std::size_t i = i0; i < i1; ++i) {
-        double* orow = out->RowPtr(i);
-        std::size_t p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          const double a0 = a(p, i);
-          const double a1 = a(p + 1, i);
-          const double a2 = a(p + 2, i);
-          const double a3 = a(p + 3, i);
-          const double* b0 = b.RowPtr(p);
-          const double* b1 = b.RowPtr(p + 1);
-          const double* b2 = b.RowPtr(p + 2);
-          const double* b3 = b.RowPtr(p + 3);
-          for (std::size_t j = j0; j < j1; ++j) {
-            double t = orow[j];
-            t += a0 * b0[j];
-            t += a1 * b1[j];
-            t += a2 * b2[j];
-            t += a3 * b3[j];
-            orow[j] = t;
-          }
-        }
-        for (; p < p1; ++p) {
-          const double aval = a(p, i);
-          const double* brow = b.RowPtr(p);
-          for (std::size_t j = j0; j < j1; ++j) orow[j] += aval * brow[j];
-        }
-      }
-    }
+/// Rows [0, rows) of out (+)= op_a(a) * op_b(b) through the packed driver on
+/// the active tier (resolving it also publishes the `la.kernel_path` gauge).
+/// Every shape takes this one path, so an element's arithmetic depends only
+/// on k, the output width and the tier — never on `rows` or the row split.
+void PackedGemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
+                Matrix* out, bool accumulate, std::size_t rows,
+                std::size_t flops_per_row) {
+  const internal::GemmMicrokernel& uk =
+      *internal::MicrokernelForPath(ActiveKernelPath());
+  const auto kernel = [&](std::size_t r0, std::size_t r1) {
+    internal::PackedGemmRowRange(a, trans_a, b, trans_b, out, accumulate, uk,
+                                 r0, r1);
+  };
+  if (rows * flops_per_row >= kParallelFlopThreshold) {
+    ParallelFor(0, rows, RowGrain(rows, flops_per_row), kernel);
+  } else {
+    kernel(0, rows);
   }
 }
 
@@ -203,22 +52,8 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CHECK(out != &a);
   CHECK(out != &b);
   out->Resize(a.rows(), b.cols());
-  const std::size_t flops_per_row = a.cols() * b.cols();
-  const internal::GemmMicrokernel* uk =
-      PackedKernelForCall(a.rows() * flops_per_row);
-  const auto kernel = [&](std::size_t r0, std::size_t r1) {
-    if (uk != nullptr) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/false,
-                                   out, /*accumulate=*/false, *uk, r0, r1);
-    } else {
-      MatMulRowRange(a, b, out, r0, r1);
-    }
-  };
-  if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
-    ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-  } else {
-    kernel(0, a.rows());
-  }
+  PackedGemm(a, /*trans_a=*/false, b, /*trans_b=*/false, out,
+             /*accumulate=*/false, a.rows(), a.cols() * b.cols());
 }
 
 void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -226,46 +61,9 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   CHECK(out != &a);
   CHECK(out != &b);
   out->Resize(a.rows(), b.rows());
-  const std::size_t flops_per_row = a.cols() * b.rows();
-  if (const internal::GemmMicrokernel* uk =
-          PackedKernelForCall(a.rows() * flops_per_row)) {
-    // The packed path absorbs the transpose into B panel packing — no
-    // materialized b^T at all.
-    const auto kernel = [&](std::size_t r0, std::size_t r1) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/false, b, /*trans_b=*/true,
-                                   out, /*accumulate=*/false, *uk, r0, r1);
-    };
-    if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
-      ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-    } else {
-      kernel(0, a.rows());
-    }
-    return;
-  }
-  // Dot-product form cannot autovectorize without reassociating the per-
-  // element sum, so once enough rows amortize it we materialize b^T (a
-  // thread-local scratch, O(k*m) next to O(n*k*m) flops) and run the
-  // vectorizable axpy-form kernel. Both paths accumulate each element in
-  // ascending-k order — identical bits, different speed.
-  if (a.rows() >= 4) {
-    static thread_local Matrix b_transposed_scratch;
-    // The scratch belongs to the calling thread; chunks capture it by
-    // pointer (workers must not touch their own thread_local instance) and
-    // only read it while the caller blocks in ParallelFor.
-    Matrix* b_transposed = &b_transposed_scratch;
-    TransposeInto(b, b_transposed);
-    const auto kernel = [&a, b_transposed, out](std::size_t r0,
-                                                std::size_t r1) {
-      MatMulRowRange(a, *b_transposed, out, r0, r1);
-    };
-    if (a.rows() * flops_per_row >= kParallelFlopThreshold) {
-      ParallelFor(0, a.rows(), RowGrain(a.rows(), flops_per_row), kernel);
-    } else {
-      kernel(0, a.rows());
-    }
-    return;
-  }
-  MatMulTransposedBRowRange(a, b, out, 0, a.rows());
+  // B panel packing absorbs the transpose — no materialized b^T.
+  PackedGemm(a, /*trans_a=*/false, b, /*trans_b=*/true, out,
+             /*accumulate=*/false, a.rows(), a.cols() * b.rows());
 }
 
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
@@ -279,22 +77,8 @@ void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
   } else {
     out->Resize(a.cols(), b.cols());
   }
-  const std::size_t flops_per_row = a.rows() * b.cols();
-  const internal::GemmMicrokernel* uk =
-      PackedKernelForCall(a.cols() * flops_per_row);
-  const auto kernel = [&](std::size_t i0, std::size_t i1) {
-    if (uk != nullptr) {
-      internal::PackedGemmRowRange(a, /*trans_a=*/true, b, /*trans_b=*/false,
-                                   out, accumulate, *uk, i0, i1);
-    } else {
-      MatMulTransposedARowRange(a, b, out, accumulate, i0, i1);
-    }
-  };
-  if (a.cols() * flops_per_row >= kParallelFlopThreshold) {
-    ParallelFor(0, a.cols(), RowGrain(a.cols(), flops_per_row), kernel);
-  } else {
-    kernel(0, a.cols());
-  }
+  PackedGemm(a, /*trans_a=*/true, b, /*trans_b=*/false, out, accumulate,
+             a.cols(), a.rows() * b.cols());
 }
 
 void TransposeInto(const Matrix& m, Matrix* out) {

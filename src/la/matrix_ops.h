@@ -11,23 +11,21 @@ namespace vfl::la {
 /// capacity reused — the allocation-free hot path for training loops); the
 /// allocating forms are thin wrappers kept for call sites off the hot path.
 ///
-/// Implementation is dispatched at runtime (see la/cpu_features.h). The
-/// default fast path is a BLIS-style packed GEMM: panels of A and B are
-/// packed into aligned thread-local scratch (reused across blocks and
-/// calls) and multiplied by an explicit register-blocked microkernel —
-/// AVX-512F 8x16, AVX2/FMA 6x8, or a portable scalar 4x8 — chosen by
-/// cpuid-based detection, overridable via VFLFIA_LA_KERNEL or
-/// SetKernelPath(). The opt-in `deterministic` path keeps the pre-SIMD
-/// cache-blocked kernels whose plain multiply-add ascending-k reduction is
-/// bit-stable across machines and dispatch tiers.
+/// Every product, whatever its shape, runs one BLIS-style packed GEMM:
+/// panels of A and B are packed into aligned thread-local scratch (reused
+/// across blocks and calls) and multiplied by an explicit register-blocked
+/// microkernel — AVX-512F 8x16, AVX2/FMA 6x8, or a portable scalar 4x8 —
+/// chosen at runtime by cpuid-based detection (see la/cpu_features.h),
+/// overridable via VFLFIA_LA_KERNEL or SetKernelPath().
 ///
-/// Both paths split output rows over la::ParallelFor once the FLOP count
-/// justifies it, and both compute every output element with one ascending-k
-/// accumulation chain that is a pure function of the operand shapes — never
-/// of the row partition — so results are bit-identical for any thread
-/// count. The fast path additionally contracts multiply-adds with FMA, so
-/// its bits differ (within rounding) between dispatch tiers and from the
-/// deterministic path.
+/// Output rows split over la::ParallelFor once the FLOP count justifies it.
+/// Every output element is one ascending-k accumulation chain per k block
+/// whose arithmetic depends only on k and the tier — never on the row count
+/// or the row partition — so results are bit-identical for
+/// any thread count, and a row computed alone equals the same row inside any
+/// batch. The SIMD tiers contract multiply-adds with FMA, so their bits
+/// differ (within rounding) from each other and from `generic`, which has no
+/// FMA contraction and is the cross-machine reproducibility tier.
 
 /// out = a * b (shapes must agree: a.cols == b.rows). `out` must alias
 /// neither input.

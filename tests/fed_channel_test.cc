@@ -52,10 +52,14 @@ la::Matrix RandomUnitData(std::size_t n, std::size_t d, std::uint64_t seed) {
 /// A wired scenario plus factories for every channel kind over it.
 class QueryChannelTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    lr_ = RandomLr(6, 3, 11);
-    x_ = RandomUnitData(40, 6, 12);
-    split_ = FeatureSplit::TailFraction(6, 0.5);
+  void SetUp() override { Wire(/*n=*/40, /*d=*/6, /*c=*/3); }
+
+  /// (Re)wires the scenario over n random samples of d features and a random
+  /// d-feature, c-class logistic regression.
+  void Wire(std::size_t n, std::size_t d, std::size_t c) {
+    lr_ = RandomLr(d, c, 11);
+    x_ = RandomUnitData(n, d, 12);
+    split_ = FeatureSplit::TailFraction(d, 0.5);
     scenario_ = MakeTwoPartyScenario(x_, split_, &lr_);
   }
 
@@ -93,13 +97,23 @@ class QueryChannelTest : public ::testing::Test {
 };
 
 TEST_F(QueryChannelTest, EveryKindRevealsTheSameBits) {
-  const la::Matrix reference = scenario_.service->PredictAll();
-  for (const std::string& kind : Kinds()) {
-    std::unique_ptr<QueryChannel> channel = MakeKind(kind);
-    EXPECT_EQ(channel->kind(), kind);
-    core::StatusOr<la::Matrix> all = channel->QueryAll();
-    ASSERT_TRUE(all.ok()) << kind << ": " << all.status().ToString();
-    EXPECT_TRUE(*all == reference) << kind;
+  // Every kind must reveal the bits of one offline whole-table forward pass.
+  // In the second scenario that pass (600 x 20 x 2 = 24,000 multiply-adds)
+  // dwarfs one 8-row server batch (320) and one service row (40), so a GEMM
+  // whose arithmetic depended on the row count would split the kinds.
+  struct Shape {
+    std::size_t n, d, c;
+  };
+  for (const Shape s : {Shape{40, 6, 3}, Shape{600, 20, 2}}) {
+    Wire(s.n, s.d, s.c);
+    const la::Matrix reference = lr_.PredictProba(x_);
+    for (const std::string& kind : Kinds()) {
+      std::unique_ptr<QueryChannel> channel = MakeKind(kind);
+      EXPECT_EQ(channel->kind(), kind);
+      core::StatusOr<la::Matrix> all = channel->QueryAll();
+      ASSERT_TRUE(all.ok()) << kind << ": " << all.status().ToString();
+      EXPECT_TRUE(*all == reference) << kind << " on " << s.n << "x" << s.d;
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the blocked/parallel GEMM kernels and the ParallelFor helpers:
+// Tests for the packed/parallel GEMM entry points and the ParallelFor helpers:
 // equivalence to a naive in-test reference on random shapes (including
 // non-multiples of the block sizes), accumulate semantics, aliasing guards,
 // and bit-identical results across kernel thread counts.
@@ -42,8 +42,9 @@ void ExpectNear(const Matrix& got, const Matrix& want, double tol = 1e-11) {
   EXPECT_LE(MaxAbsDiff(got, want), tol);
 }
 
-/// Shapes chosen to straddle the kernels' block sizes (64 and 128) and the
-/// 2x/4x register tiles: non-multiples, degenerate single rows/columns.
+/// Shapes chosen to straddle the packed driver's mc row block (128) and the
+/// register tiles (4x8 up to 8x16): non-multiples, degenerate single
+/// rows/columns.
 struct Shape {
   std::size_t n, k, m;
 };

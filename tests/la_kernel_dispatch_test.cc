@@ -1,9 +1,9 @@
 // Tests for the runtime GEMM kernel dispatch (la/cpu_features.h) and the
-// packed SIMD microkernel path: exactness vs a naive reference over awkward
-// shapes on EVERY dispatch tier the host supports (deterministic, generic,
-// and — hardware permitting — avx2/avx512), accumulate and k=0 semantics,
-// thread-count bit-identity on both the deterministic and fast paths, tier
-// name parsing, and the la.kernel_path observability gauge. Runs under
+// packed microkernel path every product takes: exactness vs a naive
+// reference over awkward shapes on EVERY dispatch tier the host supports
+// (generic and — hardware permitting — avx2/avx512), accumulate and k=0
+// semantics, bit-identity across thread counts and row counts, tier name
+// parsing, and the la.kernel_path observability gauge. Runs under
 // ASan/UBSan in CI so packing-buffer or tail-handling overruns surface here.
 #include <gtest/gtest.h>
 
@@ -47,8 +47,8 @@ void ExpectNear(const Matrix& got, const Matrix& want, double tol = 1e-11) {
 
 std::vector<KernelPath> SupportedPaths() {
   std::vector<KernelPath> paths;
-  for (const KernelPath p : {KernelPath::kDeterministic, KernelPath::kGeneric,
-                             KernelPath::kAvx2, KernelPath::kAvx512}) {
+  for (const KernelPath p :
+       {KernelPath::kGeneric, KernelPath::kAvx2, KernelPath::kAvx512}) {
     if (CpuSupportsKernelPath(p)) paths.push_back(p);
   }
   return paths;
@@ -67,7 +67,7 @@ class DispatchTest : public ::testing::Test {
 /// Shapes chosen to hit every edge of the packed path: 1x1, prime dims,
 /// tails narrower/shorter than the widest register tile (8x16), degenerate
 /// single rows/columns, exact tile multiples, and sizes big enough to cross
-/// the small-product fallback threshold and the kc/mc cache blocks.
+/// the kc/mc cache blocks and the parallel threshold.
 struct Shape {
   std::size_t n, k, m;
 };
@@ -107,7 +107,7 @@ TEST_F(DispatchTest, AccumulateAddsOnEveryPath) {
   for (const KernelPath path : SupportedPaths()) {
     SetKernelPath(path);
     core::Rng rng(47);
-    // Big enough that the packed path (not the small-product fallback) runs.
+    // Crosses the mc row block and leaves edge tiles on every tier.
     const Matrix a = RandomMatrix(96, 70, rng);
     const Matrix b = RandomMatrix(96, 133, rng);
     Matrix acc = RandomMatrix(70, 133, rng);
@@ -144,10 +144,9 @@ TEST_F(DispatchTest, KZeroZeroFillsOrKeepsAccumulateBase) {
 }
 
 TEST_F(DispatchTest, BitIdenticalAcrossThreadCountsOnEveryPath) {
-  // Both the deterministic blocked kernels and the packed microkernels
-  // promise one shape-dependent ascending-k accumulation chain per output
-  // element, independent of the ParallelFor row partition — so equal bits
-  // for any thread count, on every tier.
+  // The packed microkernels promise one shape-dependent ascending-k
+  // accumulation chain per output element, independent of the ParallelFor
+  // row partition — so equal bits for any thread count, on every tier.
   core::Rng rng(59);
   const Matrix a = RandomMatrix(300, 220, rng);
   const Matrix b = RandomMatrix(220, 260, rng);
@@ -175,29 +174,46 @@ TEST_F(DispatchTest, BitIdenticalAcrossThreadCountsOnEveryPath) {
   }
 }
 
-TEST_F(DispatchTest, DeterministicPathIsIdenticalToPreSimdKernels) {
-  // The deterministic tier must be bit-equal to itself across repeated calls
-  // and across output-buffer reuse — the property the experiment CSVs'
-  // byte-equality checks rely on.
-  SetKernelPath(KernelPath::kDeterministic);
-  core::Rng rng(61);
-  const Matrix a = RandomMatrix(130, 90, rng);
-  const Matrix b = RandomMatrix(90, 75, rng);
-  Matrix first;
-  MatMulInto(a, b, &first);
-  Matrix again = RandomMatrix(130, 75, rng);  // dirty buffer, reused
-  MatMulInto(a, b, &again);
-  EXPECT_EQ(first, again);
+TEST_F(DispatchTest, EveryRowMatchesTheSameRowComputedAlone) {
+  // A served prediction row must not depend on how many requests the batcher
+  // fused with it: every row of a product equals, bit for bit, the product
+  // of that row alone — on every tier and every shape.
+  for (const KernelPath path : SupportedPaths()) {
+    ASSERT_EQ(SetKernelPath(path), path);
+    core::Rng rng(61 + static_cast<unsigned>(path));
+    for (const Shape& s : kShapes) {
+      SCOPED_TRACE(testing::Message()
+                   << KernelPathName(path) << " " << s.n << "x" << s.k << "x"
+                   << s.m);
+      const Matrix a = RandomMatrix(s.n, s.k, rng);
+      const Matrix b = RandomMatrix(s.k, s.m, rng);
+      const Matrix bt = Transpose(b);
+      Matrix whole, whole_tb, row, row_tb;
+      MatMulInto(a, b, &whole);
+      MatMulTransposedBInto(a, bt, &whole_tb);
+      for (std::size_t i = 0; i < s.n; ++i) {
+        const Matrix a_row = Matrix::RowVector(a.Row(i));
+        MatMulInto(a_row, b, &row);
+        MatMulTransposedBInto(a_row, bt, &row_tb);
+        ASSERT_EQ(row.Row(0), whole.Row(i)) << "MatMulInto row " << i;
+        ASSERT_EQ(row_tb.Row(0), whole_tb.Row(i))
+            << "MatMulTransposedBInto row " << i;
+      }
+    }
+  }
 }
 
 TEST_F(DispatchTest, ParseKernelPathRoundTripsAndRejects) {
-  for (const KernelPath p : {KernelPath::kDeterministic, KernelPath::kGeneric,
-                             KernelPath::kAvx2, KernelPath::kAvx512}) {
+  for (const KernelPath p :
+       {KernelPath::kGeneric, KernelPath::kAvx2, KernelPath::kAvx512}) {
     const auto parsed = ParseKernelPath(KernelPathName(p));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_EQ(ParseKernelPath("det"), KernelPath::kDeterministic);
+  // The retired deterministic tier's names select generic, the
+  // reproducibility tier that replaced it.
+  EXPECT_EQ(ParseKernelPath("deterministic"), KernelPath::kGeneric);
+  EXPECT_EQ(ParseKernelPath("det"), KernelPath::kGeneric);
   EXPECT_FALSE(ParseKernelPath("").has_value());
   EXPECT_FALSE(ParseKernelPath("auto").has_value());
   EXPECT_FALSE(ParseKernelPath("sse9").has_value());
@@ -208,10 +224,8 @@ TEST_F(DispatchTest, SetKernelPathClampsToSupported) {
   const KernelPath got = SetKernelPath(KernelPath::kAvx512);
   EXPECT_TRUE(CpuSupportsKernelPath(got));
   EXPECT_EQ(got, ActiveKernelPath());
-  // Deterministic and generic are always supported, so never clamped.
+  // Generic is always supported, so never clamped.
   EXPECT_EQ(SetKernelPath(KernelPath::kGeneric), KernelPath::kGeneric);
-  EXPECT_EQ(SetKernelPath(KernelPath::kDeterministic),
-            KernelPath::kDeterministic);
 }
 
 TEST_F(DispatchTest, KernelPathGaugeTracksActivePath) {
@@ -229,11 +243,8 @@ TEST_F(DispatchTest, KernelPathGaugeTracksActivePath) {
             static_cast<std::int64_t>(auto_path));
 }
 
-TEST_F(DispatchTest, AutoNeverResolvesToDeterministic) {
-  // Deterministic is opt-in only: detection must pick a packed tier.
-  const KernelPath best = DetectBestKernelPath();
-  EXPECT_NE(best, KernelPath::kDeterministic);
-  EXPECT_TRUE(CpuSupportsKernelPath(best));
+TEST_F(DispatchTest, AutoResolvesToASupportedTier) {
+  EXPECT_TRUE(CpuSupportsKernelPath(DetectBestKernelPath()));
 }
 
 }  // namespace

@@ -539,26 +539,6 @@ TEST_F(PredictionServerTest, SetQueryBudgetCountsEveryRevealedVector) {
   EXPECT_FALSE(server->Predict(client, 0).ok());
 }
 
-TEST_F(PredictionServerTest, ConcurrentViewMatchesSequentialCollection) {
-  PredictionServerConfig config;
-  config.num_threads = 4;
-  config.max_batch_size = 32;
-  config.cache_capacity = 512;
-  std::unique_ptr<PredictionServer> server = MakeServer(config);
-
-  const fed::AdversaryView view = CollectAdversaryViewConcurrent(
-      *server, split_, scenario_.x_adv, /*num_clients=*/4);
-  EXPECT_EQ(view.confidences, reference_);
-  EXPECT_EQ(view.x_adv, scenario_.x_adv);
-
-  // The audit log shows four clients sharing the accumulated volume.
-  const std::vector<ClientAuditRecord> log = server->auditor().AuditLog();
-  ASSERT_EQ(log.size(), 4u);
-  std::uint64_t total = 0;
-  for (const ClientAuditRecord& record : log) total += record.served;
-  EXPECT_EQ(total, dataset_.num_samples());
-}
-
 // --- façade consistency -----------------------------------------------------
 
 TEST_F(PredictionServerTest, FacadeCountsOnePerRevealedVector) {
