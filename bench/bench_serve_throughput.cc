@@ -1,19 +1,21 @@
 // Serving-subsystem throughput/latency sweep: QPS, p50/p99/p999 request
 // latency across worker-thread counts {1, 4, 8} and micro-batch sizes
-// {1, 16, 64}, driven by 8 concurrent closed-loop clients. The cache is
-// disabled so the numbers measure the fused-forward-pass pipeline itself.
+// {1, 16, 64}, driven by 8 concurrent closed-loop clients. Each client issues
+// its queries as PredictBatch waves of max(2 * batch, 32) rows; QPS counts
+// rows, and a latency sample is one wave's PredictBatch round trip. The
+// cache is disabled so the numbers measure the fused-forward-pass pipeline
+// itself; mean_batch shows how full the work-conserving batches ran.
 //
 // Latencies land in a shared obs::LatencyHistogram (the serving layer's own
 // instrument type): contention-free recording from all client threads and
-// bucket-exact percentiles (buckets are <= 12.5% wide), instead of the old
-// sort-everything vector. The last line compares the best batched
-// multi-threaded configuration to the single-threaded unbatched baseline;
-// that best configuration's numbers persist as serve_qps / serve_p50_us /
-// serve_p99_us / serve_p999_us in BENCH_perf.json.
+// bucket-exact percentiles (buckets are <= 12.5% wide). The last line
+// compares the best batched multi-threaded configuration to the
+// single-threaded unbatched baseline; that best configuration's numbers
+// persist as serve_qps / serve_p50_us / serve_p99_us / serve_p999_us in
+// BENCH_perf.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -52,13 +54,12 @@ SweepResult RunConfig(const vfl::fed::VflScenario& scenario,
   vfl::serve::PredictionServerConfig config;
   config.num_threads = threads;
   config.max_batch_size = batch;
-  config.max_batch_delay = std::chrono::microseconds(batch > 1 ? 100 : 0);
   config.cache_capacity = 0;
   std::unique_ptr<vfl::serve::PredictionServer> server =
       vfl::serve::MakeScenarioServer(scenario, config);
 
   const std::size_t n = server->num_samples();
-  // Enough in-flight requests per client to let batches fill.
+  // Enough rows per request to fill a batch.
   const std::size_t wave = std::max<std::size_t>(2 * batch, 32);
 
   // One shared histogram; every client thread records into its own shard.
@@ -70,32 +71,27 @@ SweepResult RunConfig(const vfl::fed::VflScenario& scenario,
     const std::uint64_t client_id =
         server->RegisterClient("load-" + std::to_string(c));
     clients.emplace_back([&, client_id, c] {
-      std::vector<
-          std::future<vfl::core::Result<std::vector<double>>>>
-          futures(wave);
-      std::vector<Clock::time_point> submitted(wave);
+      std::vector<std::size_t> ids;
       std::size_t issued = 0;
       while (issued < queries_per_client) {
         const std::size_t burst =
             std::min(wave, queries_per_client - issued);
+        ids.resize(burst);
         for (std::size_t i = 0; i < burst; ++i) {
-          const std::size_t id = (c * 101 + (issued + i) * 17) % n;
-          submitted[i] = Clock::now();
-          futures[i] = server->SubmitAsync(client_id, id);
+          ids[i] = (c * 101 + (issued + i) * 17) % n;
         }
-        for (std::size_t i = 0; i < burst; ++i) {
-          const auto result = futures[i].get();
-          const Clock::time_point done = Clock::now();
-          if (!result.ok()) {
-            std::fprintf(stderr, "query failed: %s\n",
-                         result.status().ToString().c_str());
-            std::abort();
-          }
-          latency_ns.Record(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  done - submitted[i])
-                  .count()));
+        const Clock::time_point submitted = Clock::now();
+        const auto result = server->PredictBatch(client_id, ids);
+        const Clock::time_point done = Clock::now();
+        if (!result.ok()) {
+          std::fprintf(stderr, "query failed: %s\n",
+                       result.status().ToString().c_str());
+          std::abort();
         }
+        latency_ns.Record(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(done -
+                                                                 submitted)
+                .count()));
         issued += burst;
       }
     });

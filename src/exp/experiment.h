@@ -45,8 +45,9 @@ struct DefenseSpec {
 /// Serving knobs for the "server"/"net" channels and the CLI.
 struct ServingSpec {
   std::size_t threads = 4;
+  /// Row cap of one fused forward pass. Batching is work-conserving: a free
+  /// worker takes what is queued up to this cap, never waiting for more.
   std::size_t batch = 32;
-  std::size_t batch_delay_us = 100;
   /// Concurrent submitter threads the ServerChannel floods fetches from
   /// (and the NetChannel's default connection count per fetch).
   std::size_t clients = 4;

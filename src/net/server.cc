@@ -101,12 +101,14 @@ void NetServer::AcceptLoop() {
 void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
   (void)conn_id;
   for (;;) {
-    // The read stage covers waiting for and draining the request frame; on a
-    // keep-alive connection that includes client think time.
-    const std::uint64_t read_start_ns = obs::MetricsNowNanos();
+    // A request starts when its length prefix arrives: the idle wait for the
+    // next frame on a keep-alive connection (client think time) is neither
+    // in the read stage nor in the span.
+    std::uint64_t arrived_ns = 0;
     core::StatusOr<std::vector<std::uint8_t>> payload =
-        conn.RecvFrame(config_.max_frame_bytes);
-    const std::uint64_t read_ns = obs::MetricsNowNanos() - read_start_ns;
+        conn.RecvFrame(config_.max_frame_bytes, &arrived_ns);
+    const std::uint64_t read_ns =
+        obs::kMetricsEnabled ? obs::NowNanos() - arrived_ns : 0;
     if (!payload.ok()) {
       // Clean close, peer reset, or an oversized/undersized length prefix.
       // For parseable-prefix violations tell the client why before hanging
@@ -149,7 +151,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       response.num_classes =
           static_cast<std::uint32_t>(backend_->num_classes());
       obs::TraceSpan span(config_.trace_sink, "hello", hello->request_id,
-                          response.client_id);
+                          response.client_id, arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
       const std::uint64_t write_start_ns = obs::MetricsNowNanos();
@@ -163,7 +165,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
 
     if (const auto* predict = std::get_if<PredictRequest>(&*message)) {
       obs::TraceSpan span(config_.trace_sink, "predict", predict->request_id,
-                          predict->client_id);
+                          predict->client_id, arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
       std::vector<std::size_t> ids;
@@ -207,7 +209,8 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
 
     if (const auto* get_stats = std::get_if<GetStatsRequest>(&*message)) {
       obs::TraceSpan span(config_.trace_sink, "get_stats",
-                          get_stats->request_id, /*client_id=*/0);
+                          get_stats->request_id, /*client_id=*/0,
+                          arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
       // The snapshot is taken before this request finishes, so a scrape sees
@@ -230,7 +233,8 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
 
     if (const auto* get_ts = std::get_if<GetTimeseriesRequest>(&*message)) {
       obs::TraceSpan span(config_.trace_sink, "get_timeseries",
-                          get_ts->request_id, /*client_id=*/0);
+                          get_ts->request_id, /*client_id=*/0,
+                          arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
       if (config_.timeseries == nullptr) {

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "net/wire.h"
+#include "obs/clock.h"
 
 namespace vfl::net {
 
@@ -102,9 +103,10 @@ core::Status Socket::RecvAll(void* data, std::size_t size) {
 }
 
 core::StatusOr<std::vector<std::uint8_t>> Socket::RecvFrame(
-    std::size_t max_frame_bytes) {
+    std::size_t max_frame_bytes, std::uint64_t* prefix_ns) {
   std::uint8_t prefix[kLengthPrefixBytes];
   VFL_RETURN_IF_ERROR(RecvAll(prefix, sizeof(prefix)));
+  if (prefix_ns != nullptr) *prefix_ns = obs::NowNanos();
   std::uint32_t payload_length = 0;
   for (std::size_t i = 0; i < kLengthPrefixBytes; ++i) {
     payload_length |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);

@@ -53,8 +53,10 @@ class Socket {
   /// `max_frame_bytes` before any allocation), then the payload. Typed
   /// errors: kOutOfRange for an oversized prefix, kInvalidArgument for an
   /// impossibly short one, kIoError for transport failures / EOF.
+  /// `prefix_ns`, when non-null, receives obs::NowNanos() as the length
+  /// prefix arrives: the frame's start, excluding the idle wait before it.
   core::StatusOr<std::vector<std::uint8_t>> RecvFrame(
-      std::size_t max_frame_bytes);
+      std::size_t max_frame_bytes, std::uint64_t* prefix_ns = nullptr);
 
   /// Half-closes both directions, waking any thread blocked in RecvAll.
   void ShutdownBoth();

@@ -74,12 +74,13 @@ void JsonlTraceSink::Emit(const std::string& line) {
 }
 
 TraceSpan::TraceSpan(TraceSink* sink, std::string_view kind,
-                     std::uint64_t request_id, std::uint64_t client_id)
+                     std::uint64_t request_id, std::uint64_t client_id,
+                     std::uint64_t start_ns)
     : sink_(sink),
       kind_(kind),
       request_id_(request_id),
       client_id_(client_id),
-      start_ns_(sink == nullptr ? 0 : NowNanos()) {}
+      start_ns_(sink == nullptr || start_ns != 0 ? start_ns : NowNanos()) {}
 
 void TraceSpan::AddStageNs(std::string_view stage, std::uint64_t ns) {
   if (sink_ == nullptr) return;

@@ -82,8 +82,9 @@ class CapturingTraceSink : public TraceSink {
 class TraceSpan {
  public:
   /// `sink` may be null: every method becomes a no-op and nothing emits.
+  /// `start_ns` is the request's NowNanos() start; 0 means now.
   TraceSpan(TraceSink* sink, std::string_view kind, std::uint64_t request_id,
-            std::uint64_t client_id);
+            std::uint64_t client_id, std::uint64_t start_ns = 0);
   ~TraceSpan() { Finish(); }
 
   TraceSpan(const TraceSpan&) = delete;

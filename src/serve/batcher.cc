@@ -1,26 +1,28 @@
 #include "serve/batcher.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 
 namespace vfl::serve {
 
-Batcher::Batcher(std::size_t max_batch_size,
-                 std::chrono::microseconds max_batch_delay,
-                 obs::Gauge* depth_gauge)
-    : max_batch_size_(max_batch_size),
-      max_batch_delay_(max_batch_delay),
-      depth_gauge_(depth_gauge) {
-  CHECK_GE(max_batch_size_, 1u) << "batches must hold at least one request";
+Batcher::Batcher(std::size_t max_batch_size, obs::Gauge* depth_gauge)
+    : max_batch_size_(max_batch_size), depth_gauge_(depth_gauge) {
+  CHECK_GE(max_batch_size_, 1u) << "batches must hold at least one row";
 }
 
-bool Batcher::Push(BatchItem&& item) {
-  item.submit_ns = obs::MetricsNowNanos();
+bool Batcher::Push(std::vector<BatchItem> items) {
+  const std::uint64_t now_ns = obs::MetricsNowNanos();
+  for (BatchItem& item : items) item.submit_ns = now_ns;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
-    queue_.push_back(std::move(item));
+    queue_.insert(queue_.end(), items.begin(), items.end());
+    // Gauge moves under the lock so it never reads negative.
+    if (depth_gauge_ != nullptr) {
+      depth_gauge_->Add(static_cast<std::int64_t>(items.size()));
+    }
   }
-  if (depth_gauge_ != nullptr) depth_gauge_->Add(1);
   cv_.notify_one();
   return true;
 }
@@ -30,30 +32,16 @@ std::vector<BatchItem> Batcher::PopBatch() {
   cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   if (queue_.empty()) return {};  // closed and drained
 
-  if (queue_.size() < max_batch_size_ && !closed_ &&
-      max_batch_delay_.count() > 0) {
-    // Wait for stragglers so the forward pass fuses more rows; bail out as
-    // soon as the batch fills or the deadline passes.
-    const auto deadline = std::chrono::steady_clock::now() + max_batch_delay_;
-    cv_.wait_until(lock, deadline, [this] {
-      return closed_ || queue_.size() >= max_batch_size_;
-    });
-  }
-
   const std::size_t take = std::min(queue_.size(), max_batch_size_);
-  std::vector<BatchItem> batch;
-  batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
+  std::vector<BatchItem> batch(queue_.begin(), queue_.begin() + take);
+  queue_.erase(queue_.begin(), queue_.begin() + take);
+  if (depth_gauge_ != nullptr) {
+    depth_gauge_->Add(-static_cast<std::int64_t>(take));
   }
   if (!queue_.empty()) {
-    // Leftovers form the next batch; make sure another consumer picks them
-    // up even if no further Push() arrives.
+    // Leftovers form the next batch; wake another consumer for them even if
+    // no further Push() arrives.
     cv_.notify_one();
-  }
-  if (depth_gauge_ != nullptr && !batch.empty()) {
-    depth_gauge_->Add(-static_cast<std::int64_t>(batch.size()));
   }
   return batch;
 }

@@ -1,16 +1,15 @@
 #ifndef VFLFIA_SERVE_BATCHER_H_
 #define VFLFIA_SERVE_BATCHER_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <latch>
 #include <mutex>
 #include <vector>
 
-#include "core/status.h"
+#include "la/matrix.h"
 #include "obs/metrics.h"
 
 namespace vfl::obs {
@@ -19,10 +18,31 @@ class TraceSpan;
 
 namespace vfl::serve {
 
-/// One queued joint-prediction request. The promise is fulfilled with the
-/// revealed (post-defense) confidence vector, or with an error Status.
+/// Completion shared by every queued row of one PredictBatch call. It lives
+/// on the caller's stack: workers write each finished row straight into
+/// `out`, then count it off `rows_left`, and the caller waits once for the
+/// count to reach zero. A worker touches nothing of the request after its
+/// count_down, so the caller may return as soon as the wait does.
+struct RequestCompletion {
+  RequestCompletion(std::uint64_t client_id, la::Matrix* out,
+                    obs::TraceSpan* span, std::size_t rows)
+      : client_id(client_id),
+        out(out),
+        span(span),
+        rows_left(static_cast<std::ptrdiff_t>(rows)) {}
+
+  const std::uint64_t client_id;
+  la::Matrix* const out;
+  /// Trace span of the wire request; null when tracing is off.
+  obs::TraceSpan* const span;
+  std::latch rows_left;
+};
+
+/// One queued row of a joint-prediction request.
 struct BatchItem {
-  std::uint64_t client_id = 0;
+  RequestCompletion* request = nullptr;
+  /// Row of `request->out` this item fills.
+  std::size_t row = 0;
   std::size_t sample_id = 0;
   /// Cache key precomputed at submit time (sample id fused with the
   /// defense-config generation), so the execution path can insert the result
@@ -31,40 +51,34 @@ struct BatchItem {
   /// Stamped by Push(); per-item queue wait = pop time − submit_ns. Zero in
   /// synchronous mode (never queued) and in metrics-disabled builds.
   std::uint64_t submit_ns = 0;
-  /// Trace span of the wire request this item belongs to; null when tracing
-  /// is off. Borrowed — the request owner keeps it alive until every item's
-  /// promise is fulfilled.
-  obs::TraceSpan* span = nullptr;
-  std::promise<core::Result<std::vector<double>>> promise;
 };
 
-/// MPMC request queue with micro-batching. Producers Push() individual
-/// requests; consumers PopBatch() groups of up to `max_batch_size` requests,
-/// waiting at most `max_batch_delay` after the first request arrives for the
-/// batch to fill. Fusing queued sample-ids into one Matrix forward pass is
-/// what amortizes per-call model overhead under concurrent load.
+/// Work-conserving MPMC row queue. Producers Push() all the rows of one
+/// request at once; a free consumer's PopBatch() takes everything queued, up
+/// to `max_batch_size` rows, without waiting for more to arrive. Batches thus
+/// grow with load and never sit on a timer. Fusing queued rows into one
+/// Matrix forward pass is what amortizes per-call model overhead.
 class Batcher {
  public:
-  /// `max_batch_size` >= 1; `max_batch_delay` may be zero (greedy batches:
-  /// take whatever is queued, never wait for more). `depth_gauge`, when
-  /// given, tracks the live queue depth across pushes and pops.
-  Batcher(std::size_t max_batch_size, std::chrono::microseconds max_batch_delay,
-          obs::Gauge* depth_gauge = nullptr);
+  /// `max_batch_size` >= 1. `depth_gauge`, when given, tracks the live queue
+  /// depth across pushes and pops.
+  explicit Batcher(std::size_t max_batch_size,
+                   obs::Gauge* depth_gauge = nullptr);
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
-  /// Enqueues a request. Returns false when the batcher is closed, in which
-  /// case `item` is NOT consumed and the caller still owns its promise.
-  bool Push(BatchItem&& item);
+  /// Enqueues every item under one lock, contiguously and in order, with one
+  /// wake-up. Returns false when the batcher is closed, in which case no
+  /// item was queued.
+  bool Push(std::vector<BatchItem> items);
 
-  /// Blocks until at least one request is available, then collects up to
-  /// max_batch_size requests in FIFO order, waiting at most max_batch_delay
-  /// for stragglers. Returns an empty vector only when the batcher is closed
-  /// and fully drained.
+  /// Blocks until at least one row is queued, then takes up to
+  /// max_batch_size rows in FIFO order. Returns an empty vector only when
+  /// the batcher is closed and fully drained.
   std::vector<BatchItem> PopBatch();
 
-  /// Rejects future pushes and wakes all blocked consumers. Queued requests
+  /// Rejects future pushes and wakes all blocked consumers. Queued rows
   /// remain poppable until drained.
   void Close();
 
@@ -75,7 +89,6 @@ class Batcher {
 
  private:
   const std::size_t max_batch_size_;
-  const std::chrono::microseconds max_batch_delay_;
   obs::Gauge* const depth_gauge_;
 
   mutable std::mutex mu_;

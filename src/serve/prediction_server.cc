@@ -53,9 +53,8 @@ PredictionServer::PredictionServer(const models::Model* model,
   if (config_.num_threads > 0) {
     CHECK_GE(config_.max_batch_size, 1u)
         << "threaded serving needs a bounded batch size";
-    batcher_ = std::make_unique<Batcher>(config_.max_batch_size,
-                                         config_.max_batch_delay,
-                                         &queue_depth_);
+    batcher_ =
+        std::make_unique<Batcher>(config_.max_batch_size, &queue_depth_);
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     for (std::size_t i = 0; i < config_.num_threads; ++i) {
       CHECK(pool_->Submit([this] { WorkerLoop(); }));
@@ -127,59 +126,11 @@ std::uint64_t PredictionServer::CacheKeyFor(std::size_t sample_id) const {
          static_cast<std::uint64_t>(sample_id);
 }
 
-bool PredictionServer::TryFinishEarly(std::uint64_t client_id,
-                                      std::size_t sample_id,
-                                      ResultPromise& promise) {
-  if (sample_id >= num_samples_) {
-    promise.set_value(core::Status::OutOfRange(
-        "sample id " + std::to_string(sample_id) + " >= " +
-        std::to_string(num_samples_) + " aligned samples"));
-    return true;
-  }
-  const core::Status admitted = auditor_.Admit(client_id, 1);
-  if (!admitted.ok()) {
-    promise.set_value(admitted);
-    return true;
-  }
-  if (cache_ != nullptr) {
-    std::vector<double> cached;
-    if (cache_->Get(CacheKeyFor(sample_id), &cached)) {
-      auditor_.RecordServed(client_id, 1);
-      predictions_served_.Add();
-      promise.set_value(std::move(cached));
-      return true;
-    }
-  }
-  return false;
-}
-
-std::future<core::Result<std::vector<double>>> PredictionServer::SubmitAsync(
-    std::uint64_t client_id, std::size_t sample_id) {
-  ResultPromise promise;
-  std::future<core::Result<std::vector<double>>> future = promise.get_future();
-  if (TryFinishEarly(client_id, sample_id, promise)) return future;
-
-  BatchItem item;
-  item.client_id = client_id;
-  item.sample_id = sample_id;
-  item.cache_key = CacheKeyFor(sample_id);
-  item.promise = std::move(promise);
-  if (batcher_ != nullptr) {
-    if (!batcher_->Push(std::move(item))) {
-      item.promise.set_value(
-          core::Status::FailedPrecondition("prediction server is shut down"));
-    }
-  } else {
-    std::vector<BatchItem> batch;
-    batch.push_back(std::move(item));
-    ExecuteBatch(std::move(batch));
-  }
-  return future;
-}
-
 core::Result<std::vector<double>> PredictionServer::Predict(
     std::uint64_t client_id, std::size_t sample_id) {
-  return SubmitAsync(client_id, sample_id).get();
+  core::Result<la::Matrix> rows = PredictBatch(client_id, {sample_id});
+  if (!rows.ok()) return rows.status();
+  return rows->Row(0);
 }
 
 core::Result<la::Matrix> PredictionServer::PredictBatch(
@@ -195,17 +146,15 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
   VFL_RETURN_IF_ERROR(auditor_.Admit(client_id, sample_ids.size()));
 
   la::Matrix out(sample_ids.size(), num_classes());
-  std::vector<std::pair<std::size_t,
-                        std::future<core::Result<std::vector<double>>>>>
-      pending;
-  std::vector<BatchItem> local;  // synchronous-mode misses
+  std::vector<BatchItem> misses;
 
   std::size_t cache_hits = 0;
   for (std::size_t row = 0; row < sample_ids.size(); ++row) {
     const std::size_t sample_id = sample_ids[row];
+    const std::uint64_t cache_key = CacheKeyFor(sample_id);
     if (cache_ != nullptr) {
       std::vector<double> cached;
-      if (cache_->Get(CacheKeyFor(sample_id), &cached)) {
+      if (cache_->Get(cache_key, &cached)) {
         out.SetRow(row, cached);
         auditor_.RecordServed(client_id, 1);
         predictions_served_.Add();
@@ -214,43 +163,32 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
       }
     }
     BatchItem item;
-    item.client_id = client_id;
+    item.row = row;
     item.sample_id = sample_id;
-    item.cache_key = CacheKeyFor(sample_id);
-    item.span = span;
-    pending.emplace_back(row, item.promise.get_future());
-    if (batcher_ != nullptr) {
-      if (!batcher_->Push(std::move(item))) {
-        item.promise.set_value(
-            core::Status::FailedPrecondition("prediction server is shut down"));
-      }
-    } else {
-      local.push_back(std::move(item));
-    }
+    item.cache_key = cache_key;
+    misses.push_back(item);
   }
 
-  if (!local.empty()) {
-    // Fuse synchronous misses into forward passes of at most max_batch_size
-    // rows (0 = one pass over everything).
+  RequestCompletion request(client_id, &out, span, misses.size());
+  for (BatchItem& item : misses) item.request = &request;
+  if (batcher_ == nullptr) {
+    // Synchronous mode: fuse the misses into forward passes of at most
+    // max_batch_size rows (0 = one pass over everything).
     const std::size_t chunk = config_.max_batch_size == 0
-                                  ? local.size()
+                                  ? misses.size()
                                   : config_.max_batch_size;
-    std::vector<BatchItem> group;
-    for (BatchItem& item : local) {
-      group.push_back(std::move(item));
-      if (group.size() == chunk) {
-        ExecuteBatch(std::move(group));
-        group.clear();
-      }
+    const std::span<const BatchItem> all(misses);
+    for (std::size_t begin = 0; begin < all.size(); begin += chunk) {
+      ExecuteBatch(all.subspan(begin, std::min(chunk, all.size() - begin)));
     }
-    if (!group.empty()) ExecuteBatch(std::move(group));
+  } else if (!misses.empty()) {
+    // One push: the misses queue contiguously and complete together.
+    if (!batcher_->Push(std::move(misses))) {
+      return core::Status::FailedPrecondition("prediction server is shut down");
+    }
+    request.rows_left.wait();
   }
 
-  for (auto& [row, future] : pending) {
-    core::Result<std::vector<double>> result = future.get();
-    if (!result.ok()) return result.status();
-    out.SetRow(row, *result);
-  }
   if (span != nullptr) {
     span->SetAttr("rows", sample_ids.size());
     span->SetAttr("cache_hits", cache_hits);
@@ -280,25 +218,43 @@ void PredictionServer::AddOutputDefense(
 
 void PredictionServer::WorkerLoop() {
   for (;;) {
-    std::vector<BatchItem> batch = batcher_->PopBatch();
+    const std::vector<BatchItem> batch = batcher_->PopBatch();
     if (batch.empty()) return;
-    ExecuteBatch(std::move(batch));
+    ExecuteBatch(batch);
   }
 }
 
-void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
+void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
   if (items.empty()) return;
-  // Per-item queue wait: time between Push() and this worker picking the
-  // batch up. Synchronous-mode items never queued (submit_ns == 0) and
-  // metrics-disabled builds record nothing.
+  // A request's rows sit contiguously in the queue, so a batch is a sequence
+  // of runs, each belonging to one request and sharing one submit time.
+  // Stages, completion, and span attributes are accounted once per run.
+  std::vector<std::span<const BatchItem>> runs;
+  for (std::size_t begin = 0; begin < items.size();) {
+    std::size_t end = begin + 1;
+    while (end < items.size() && items[end].request == items[begin].request) {
+      ++end;
+    }
+    runs.push_back(items.subspan(begin, end - begin));
+    begin = end;
+  }
+
+  // Queue wait: time between Push() and this worker picking the batch up.
+  // Synchronous-mode items never queued (submit_ns == 0) and metrics-disabled
+  // builds record nothing.
   const std::uint64_t pop_ns = obs::MetricsNowNanos();
   if (pop_ns != 0) {
-    for (const BatchItem& item : items) {
-      if (item.submit_ns == 0) continue;
+    for (const std::span<const BatchItem> run : runs) {
+      const std::uint64_t submit_ns = run.front().submit_ns;
+      if (submit_ns == 0) continue;
       const std::uint64_t wait_ns =
-          pop_ns >= item.submit_ns ? pop_ns - item.submit_ns : 0;
-      queue_wait_ns_.Record(wait_ns);
-      if (item.span != nullptr) item.span->AddStageNs("queue_wait", wait_ns);
+          pop_ns >= submit_ns ? pop_ns - submit_ns : 0;
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        queue_wait_ns_.Record(wait_ns);
+      }
+      if (run.front().request->span != nullptr) {
+        run.front().request->span->AddStageNs("queue_wait", wait_ns);
+      }
     }
   }
   // Assemble the joint feature rows inside the protocol boundary: the fused
@@ -318,20 +274,21 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
   const la::Matrix proba = model_->PredictProba(batch);
   const std::uint64_t forward_ns = obs::MetricsNowNanos() - forward_start_ns;
   CHECK_EQ(proba.rows(), items.size());
-  // Counters update before any promise is fulfilled so that a stats()
-  // snapshot taken right after a future resolves already covers this batch.
+  // Counters update before any request completes so that a stats() snapshot
+  // taken right after PredictBatch returns already covers this batch.
   model_batches_.Add();
   model_rows_.Add(items.size());
   forward_ns_.Record(forward_ns);
   batch_rows_.Record(items.size());
   if (obs::kMetricsEnabled) {
-    // The forward pass is shared by every item in the fused batch; attribute
-    // an equal share to each request's span.
+    // The forward pass is shared by every row in the fused batch; attribute
+    // an equal share per row to each request's span.
     const std::uint64_t per_row_ns = forward_ns / items.size();
-    for (const BatchItem& item : items) {
-      if (item.span != nullptr) {
-        item.span->AddStageNs("model_forward", per_row_ns);
-        item.span->SetAttr("batch_rows", items.size());
+    for (const std::span<const BatchItem> run : runs) {
+      obs::TraceSpan* span = run.front().request->span;
+      if (span != nullptr) {
+        span->AddStageNs("model_forward", per_row_ns * run.size());
+        span->SetAttr("batch_rows", items.size());
       }
     }
   }
@@ -345,6 +302,7 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
     std::unique_lock<std::mutex> lock(defense_mu_, std::defer_lock);
     if (have_defenses) lock.lock();
     for (std::size_t i = 0; i < items.size(); ++i) {
+      const BatchItem& item = items[i];
       std::vector<double> scores = proba.Row(i);
       if (have_defenses) {
         const std::uint64_t defense_start_ns = obs::MetricsNowNanos();
@@ -356,15 +314,20 @@ void PredictionServer::ExecuteBatch(std::vector<BatchItem> items) {
         const std::uint64_t defense_ns =
             obs::MetricsNowNanos() - defense_start_ns;
         defense_ns_.Record(defense_ns);
-        if (items[i].span != nullptr) {
-          items[i].span->AddStageNs("defense", defense_ns);
+        if (item.request->span != nullptr) {
+          item.request->span->AddStageNs("defense", defense_ns);
         }
       }
-      if (cache_ != nullptr) cache_->Put(items[i].cache_key, scores);
-      auditor_.RecordServed(items[i].client_id, 1);
+      if (cache_ != nullptr) cache_->Put(item.cache_key, scores);
+      auditor_.RecordServed(item.request->client_id, 1);
       predictions_served_.Add();
-      items[i].promise.set_value(std::move(scores));
+      item.request->out->SetRow(item.row, scores);
     }
+  }
+  // Last: a finished request may return and free its completion at once.
+  for (const std::span<const BatchItem> run : runs) {
+    run.front().request->rows_left.count_down(
+        static_cast<std::ptrdiff_t>(run.size()));
   }
 }
 

@@ -2,12 +2,11 @@
 #define VFLFIA_SERVE_PREDICTION_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,10 @@ struct PredictionServerConfig {
   /// Worker threads executing fused forward passes. 0 = synchronous mode:
   /// requests execute in the caller's thread (the mode the fed façade uses).
   std::size_t num_threads = 0;
-  /// Upper bound on rows fused into one model forward pass. 0 = unbounded
-  /// (batch whatever is available; synchronous mode only).
+  /// Upper bound on rows fused into one model forward pass. A free worker
+  /// takes everything queued up to this cap and never waits for more, so
+  /// batches grow with load. 0 = unbounded (synchronous mode only).
   std::size_t max_batch_size = 16;
-  /// How long a worker waits for a batch to fill once the first request of
-  /// the batch has arrived.
-  std::chrono::microseconds max_batch_delay{200};
   /// Total entries in the sharded result cache. 0 disables caching.
   std::size_t cache_capacity = 0;
   std::size_t cache_shards = 8;
@@ -104,19 +101,17 @@ class PredictionServer {
   /// Overrides one client's lifetime prediction budget (0 = unlimited).
   void SetQueryBudget(std::uint64_t client_id, std::uint64_t budget);
 
-  /// Enqueues one joint prediction. The future resolves to the revealed
-  /// confidence vector, or to an error Status (budget exceeded, bad sample
-  /// id, unregistered client, shutdown).
-  std::future<core::Result<std::vector<double>>> SubmitAsync(
-      std::uint64_t client_id, std::size_t sample_id);
-
-  /// Blocking convenience wrapper around SubmitAsync.
+  /// One joint prediction: a one-row PredictBatch. Returns the revealed
+  /// confidence vector, or an error Status (budget exceeded, bad sample id,
+  /// unregistered client, shutdown).
   core::Result<std::vector<double>> Predict(std::uint64_t client_id,
                                             std::size_t sample_id);
 
   /// Serves `sample_ids` (duplicates allowed) and returns one confidence row
   /// per requested id, in request order. Admission is all-or-nothing: the
   /// whole batch is rejected when the client's budget cannot cover it.
+  /// Cache misses enter the batcher together and complete together; the
+  /// call returns only once none of its rows is queued or executing.
   /// `span`, when non-null, receives per-stage timings (queue wait, model
   /// forward, defense) attributed across the request's fused batches.
   core::Result<la::Matrix> PredictBatch(
@@ -154,20 +149,14 @@ class PredictionServer {
   const PredictionServerConfig& config() const { return config_; }
 
  private:
-  using ResultPromise = std::promise<core::Result<std::vector<double>>>;
-
   /// Long-running loop each worker thread executes: pop fused batches until
   /// the batcher closes.
   void WorkerLoop();
 
   /// Runs one fused batch end to end: assemble joint rows, forward pass,
-  /// per-row defenses (in queue order), cache insert, promise fulfillment.
-  void ExecuteBatch(std::vector<BatchItem> items);
-
-  /// Admission + cache probe shared by the submit paths. Returns true when
-  /// the request was finished immediately (error or cache hit).
-  bool TryFinishEarly(std::uint64_t client_id, std::size_t sample_id,
-                      ResultPromise& promise);
+  /// per-row defenses (in queue order), cache insert, rows written into
+  /// their requests' outputs, one completion per request run.
+  void ExecuteBatch(std::span<const BatchItem> items);
 
   std::uint64_t CacheKeyFor(std::size_t sample_id) const;
 

@@ -4,9 +4,12 @@
 // and a kGetStats wire scrape must return counters that match the script
 // EXACTLY (accounting for the scrape's own frame in net.frames_in). Also
 // pins the layered counters (serve.*, auditor) and per-request trace lines.
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -32,6 +35,32 @@ using core::StatusCode;
 constexpr std::size_t kPredicts = 5;       // well-formed predict round trips
 constexpr std::size_t kGarbageFrames = 3;  // framed garbage, one per conn
 constexpr std::size_t kIdsPerPredict = 3;
+
+/// Reads the unsigned integer that follows `key` in a JSON span line.
+std::uint64_t FieldOf(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(key);
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+  return at == std::string::npos ? 0
+                                 : std::stoull(line.substr(at + key.size()));
+}
+
+/// Stage name -> nanoseconds, from a span line's "stages_ns" object.
+std::map<std::string, std::uint64_t> StagesOf(const std::string& line) {
+  const std::string key = "\"stages_ns\":{";
+  std::map<std::string, std::uint64_t> stages;
+  std::size_t at = line.find(key);
+  if (at == std::string::npos) return stages;
+  at += key.size();
+  const std::size_t close = line.find('}', at);
+  while (at < close) {
+    const std::size_t colon = line.find(':', at);
+    const std::size_t end = line.find_first_of(",}", colon);
+    stages[line.substr(at + 1, colon - at - 2)] =
+        std::stoull(line.substr(colon + 1, end - colon - 1));
+    at = end + 1;
+  }
+  return stages;
+}
 
 class NetScrapeTest : public ::testing::Test {
  protected:
@@ -111,6 +140,17 @@ class NetScrapeTest : public ::testing::Test {
     }
   }
 
+  /// A handler records a request's latency after writing its response, so a
+  /// descheduled handler can lag its client. Waits in process (adding no
+  /// wire traffic) until `histogram` holds `count` samples, or 5 s pass.
+  void AwaitLatencySamples(const char* histogram, std::uint64_t count) {
+    if (!obs::kMetricsEnabled) return;
+    for (int waited_ms = 0; waited_ms < 5000; ++waited_ms) {
+      if (registry_.Snapshot().HistogramOf(histogram).count >= count) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
   /// Sends one framed garbage payload (valid length prefix, bytes that fail
   /// decode) and waits for the typed rejection, so its counters are
   /// committed before the test scrapes.
@@ -148,6 +188,8 @@ TEST_F(NetScrapeTest, ScrapedCountersMatchScriptedWorkloadExactly) {
   // Budget exhausted: the next predict is denied in full.
   Predict(conn, client_id, 100, StatusCode::kResourceExhausted);
   for (std::size_t j = 0; j < kGarbageFrames; ++j) SendGarbageFrame();
+  AwaitLatencySamples("net.hello_ns", 1);
+  AwaitLatencySamples("net.predict_ns", kPredicts + 1);
 
   const core::StatusOr<obs::MetricsSnapshot> scraped =
       ScrapeStats(server_->port());
@@ -223,12 +265,37 @@ TEST_F(NetScrapeTest, ScrapedCountersMatchScriptedWorkloadExactly) {
   EXPECT_EQ(stats_lines, 1u);
 }
 
+TEST_F(NetScrapeTest, PredictSpanExcludesClientIdleTime) {
+  // The client idles between its hello and its predict. A request starts when
+  // its length prefix arrives, so that think time is in neither the read
+  // stage nor the span, and the stages never sum past total_ns.
+  constexpr std::uint64_t kIdleNs = 30'000'000;
+  Socket conn = Connect();
+  const std::uint64_t client_id = Handshake(conn);
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kIdleNs));
+  Predict(conn, client_id, 2);
+  server_->Stop();  // joins the handlers, so every span has flushed
+
+  std::string span;
+  for (const std::string& line : trace_.lines()) {
+    if (line.find("\"kind\":\"predict\"") != std::string::npos) span = line;
+  }
+  ASSERT_FALSE(span.empty());
+  const std::map<std::string, std::uint64_t> stages = StagesOf(span);
+  ASSERT_EQ(stages.count("read"), 1u) << span;
+  EXPECT_LT(stages.at("read"), kIdleNs) << span;
+  std::uint64_t staged = 0;
+  for (const auto& [name, ns] : stages) staged += ns;
+  EXPECT_LE(staged, FieldOf(span, "\"total_ns\":")) << span;
+}
+
 TEST_F(NetScrapeTest, ScrapeOfIdleServerDecodesAndIsStable) {
   const core::StatusOr<obs::MetricsSnapshot> first =
       ScrapeStats(server_->port());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->ValueOf("net.requests_served"), 0);
   // The first scrape's own traffic is visible to the second scrape.
+  AwaitLatencySamples("net.stats_ns", 1);
   const core::StatusOr<obs::MetricsSnapshot> second =
       ScrapeStats(server_->port());
   ASSERT_TRUE(second.ok()) << second.status().ToString();

@@ -1,5 +1,4 @@
 #include <chrono>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -42,16 +41,16 @@ TEST(ThreadPoolTest, RejectsTasksAfterShutdown) {
 
 // --- batcher ----------------------------------------------------------------
 
-BatchItem MakeItem(std::size_t sample_id) {
-  BatchItem item;
-  item.sample_id = sample_id;
-  return item;
+std::vector<BatchItem> MakeItems(std::size_t first_id, std::size_t count) {
+  std::vector<BatchItem> items(count);
+  for (std::size_t i = 0; i < count; ++i) items[i].sample_id = first_id + i;
+  return items;
 }
 
 TEST(BatcherTest, FusesQueuedRequestsFifo) {
-  Batcher batcher(3, std::chrono::microseconds(0));
+  Batcher batcher(3);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(batcher.Push(MakeItem(i)));
+    EXPECT_TRUE(batcher.Push(MakeItems(i, 1)));
   }
   std::vector<BatchItem> first = batcher.PopBatch();
   ASSERT_EQ(first.size(), 3u);
@@ -62,16 +61,27 @@ TEST(BatcherTest, FusesQueuedRequestsFifo) {
   ASSERT_EQ(second.size(), 2u);
   EXPECT_EQ(second[0].sample_id, 3u);
   EXPECT_EQ(second[1].sample_id, 4u);
+
+  // One push of five rows splits at the cap, order intact.
+  EXPECT_TRUE(batcher.Push(MakeItems(10, 5)));
+  EXPECT_EQ(batcher.depth(), 5u);
+  first = batcher.PopBatch();
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_EQ(first[0].sample_id, 10u);
+  EXPECT_EQ(first[2].sample_id, 12u);
+  second = batcher.PopBatch();
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].sample_id, 13u);
+  EXPECT_EQ(second[1].sample_id, 14u);
+  EXPECT_EQ(batcher.depth(), 0u);
 }
 
 TEST(BatcherTest, CloseRejectsPushesAndDrains) {
-  Batcher batcher(4, std::chrono::microseconds(0));
-  EXPECT_TRUE(batcher.Push(MakeItem(7)));
+  Batcher batcher(4);
+  EXPECT_TRUE(batcher.Push(MakeItems(7, 1)));
   batcher.Close();
-  BatchItem rejected = MakeItem(8);
-  EXPECT_FALSE(batcher.Push(std::move(rejected)));
-  // The rejected item's promise is still owned by the caller.
-  rejected.promise.set_value(core::Status::Internal("unused"));
+  // A rejected push queues none of its rows.
+  EXPECT_FALSE(batcher.Push(MakeItems(8, 2)));
   std::vector<BatchItem> drained = batcher.PopBatch();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].sample_id, 7u);
@@ -391,7 +401,6 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   PredictionServerConfig config;
   config.num_threads = 4;
   config.max_batch_size = 16;
-  config.max_batch_delay = std::chrono::microseconds(100);
   config.cache_capacity = 256;
   std::unique_ptr<PredictionServer> server = MakeServer(config);
 
@@ -400,10 +409,13 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(*batched, reference_);  // exact element-wise equality
 
+  // The request's rows enter the queue at once, so every batch but the last
+  // is full.
   const PredictionServerStats stats = server->stats();
   EXPECT_EQ(stats.predictions_served, dataset_.num_samples());
-  EXPECT_GT(stats.model_batches, 0u);
-  EXPECT_GT(stats.mean_batch_size, 1.0);
+  EXPECT_EQ(stats.model_batches,
+            (dataset_.num_samples() + config.max_batch_size - 1) /
+                config.max_batch_size);
 }
 
 TEST_F(PredictionServerTest, SynchronousFusedBatchMatchesSequentialBitwise) {
