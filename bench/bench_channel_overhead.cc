@@ -8,9 +8,16 @@
 // backend (otherwise the notebook would absorb all repeats and the bench
 // would measure memcpy).
 //
+// --assert-server-ratio=R exits 1 when the server channel's QPS is below R
+// times the service channel's QPS in the same run. Both channels run the
+// same backend code in one process, so the ratio measures the serving
+// stack's hand-off overhead independently of host speed.
+//
 // Usage:
 //   bench_channel_overhead [--queries=N] [--json=PATH]
+//                          [--assert-server-ratio=R]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -70,11 +77,14 @@ double DriveChannel(vfl::fed::QueryChannel& channel,
 int main(int argc, char** argv) {
   std::size_t queries = 20000;
   std::string json_path;
+  double min_server_ratio = 0.0;  // 0 = report only
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--queries=", 10) == 0) {
       queries = static_cast<std::size_t>(std::atol(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
+    } else if (std::strncmp(argv[i], "--assert-server-ratio=", 22) == 0) {
+      min_server_ratio = std::atof(argv[i] + 22);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -105,6 +115,7 @@ int main(int argc, char** argv) {
     const double qps = static_cast<double>(queries) / seconds;
     std::printf("%-10s %12.4f %12.0f\n", kind, seconds, qps);
     perf.Record(std::string("channel_qps_") + kind, qps, "qps");
+    return qps;
   };
 
   // ChannelOptions owns the (move-only) defense pipeline, so each channel
@@ -120,22 +131,32 @@ int main(int argc, char** argv) {
                                      scenario.x_adv, no_accumulate());
     report("offline", DriveChannel(channel, query_set));
   }
+  double service_qps = 0.0;
+  double server_qps = 0.0;
   {
     vfl::fed::ServiceChannel channel(scenario.service.get(), scenario.split,
                                      scenario.x_adv, no_accumulate());
-    report("service", DriveChannel(channel, query_set));
+    service_qps = report("service", DriveChannel(channel, query_set));
   }
   {
     vfl::serve::PredictionServerConfig config;
     config.num_threads = 4;
     config.max_batch_size = 16;
     vfl::serve::ServerChannel channel(scenario, config, no_accumulate());
-    report("server", DriveChannel(channel, query_set));
+    server_qps = report("server", DriveChannel(channel, query_set));
   }
 
   const vfl::core::Status status = perf.Flush();
   CHECK(status.ok()) << status.ToString();
   std::printf("\nrecorded channel_qps_{offline,service,server} -> %s\n",
               perf.path().c_str());
+
+  const double ratio = server_qps / service_qps;
+  std::printf("server/service QPS ratio: %.3f\n", ratio);
+  if (min_server_ratio > 0.0 && ratio < min_server_ratio) {
+    std::fprintf(stderr, "FAIL: server/service QPS ratio %.3f < %.3f\n",
+                 ratio, min_server_ratio);
+    return 1;
+  }
   return 0;
 }

@@ -3,9 +3,10 @@
 // loopback socket), across concurrent-connection counts {1, 4, 8} and wire
 // batch sizes {1, 16, 64} — each request carries `batch` sample ids and the
 // response one score row per id. Closed-loop clients, cache disabled, so the
-// numbers measure protocol + socket + fused-forward-pass end to end. The
-// backend's 4 workers batch work-conservingly (a free worker takes what is
-// queued, up to 64 rows), so no request waits on a batch timer.
+// numbers measure protocol + socket + fused-forward-pass end to end. Each
+// connection handler runs its own request's forward passes (each pop takes
+// what is queued, up to 64 rows) and the backend's 4 helpers take rows a
+// large request leaves queued, so no request waits on a batch timer.
 //
 // Client-observed latencies land in a shared obs::LatencyHistogram
 // (bucket-exact percentiles, <= 12.5% bucket width). After the sweep the

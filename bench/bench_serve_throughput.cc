@@ -1,5 +1,5 @@
 // Serving-subsystem throughput/latency sweep: QPS, p50/p99/p999 request
-// latency across worker-thread counts {1, 4, 8} and micro-batch sizes
+// latency across helper-thread counts {1, 4, 8} and micro-batch sizes
 // {1, 16, 64}, driven by 8 concurrent closed-loop clients. Each client issues
 // its queries as PredictBatch waves of max(2 * batch, 32) rows; QPS counts
 // rows, and a latency sample is one wave's PredictBatch round trip. The

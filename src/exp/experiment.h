@@ -44,9 +44,11 @@ struct DefenseSpec {
 
 /// Serving knobs for the "server"/"net" channels and the CLI.
 struct ServingSpec {
+  /// Helper threads of the served PredictionServer (0 = callers only).
   std::size_t threads = 4;
-  /// Row cap of one fused forward pass. Batching is work-conserving: a free
-  /// worker takes what is queued up to this cap, never waiting for more.
+  /// Row cap of one fused forward pass (0 = no cap). Batching is
+  /// work-conserving: each pop takes what is queued up to this cap, never
+  /// waiting for more.
   std::size_t batch = 32;
   /// Concurrent submitter threads the ServerChannel floods fetches from
   /// (and the NetChannel's default connection count per fetch).

@@ -73,9 +73,10 @@ struct NetServerStats {
 /// remote clients as typed kResourceExhausted status frames.
 ///
 /// `backend` is borrowed and must outlive the server. Thread model: one
-/// accept-loop thread plus a connection-handler pool; handlers block in
-/// PredictionServer::PredictBatch, which runs the backend's own worker pool,
-/// so wire handling never starves model execution.
+/// accept-loop thread plus a connection-handler pool. A handler runs its
+/// request's forward passes itself inside PredictionServer::PredictBatch
+/// (read → forward → write, no hand-off); the backend's helper threads join
+/// in only for rows a large request leaves queued.
 class NetServer {
  public:
   explicit NetServer(serve::PredictionServer* backend,

@@ -1,6 +1,5 @@
 #include "serve/prediction_server.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -50,11 +49,8 @@ PredictionServer::PredictionServer(const models::Model* model,
     cache_ = std::make_unique<ResultCache>(config_.cache_capacity,
                                            config_.cache_shards);
   }
+  batcher_ = std::make_unique<Batcher>(config_.max_batch_size, &queue_depth_);
   if (config_.num_threads > 0) {
-    CHECK_GE(config_.max_batch_size, 1u)
-        << "threaded serving needs a bounded batch size";
-    batcher_ =
-        std::make_unique<Batcher>(config_.max_batch_size, &queue_depth_);
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     for (std::size_t i = 0; i < config_.num_threads; ++i) {
       CHECK(pool_->Submit([this] { WorkerLoop(); }));
@@ -108,7 +104,7 @@ PredictionServer::PredictionServer(const models::Model* model,
 }
 
 PredictionServer::~PredictionServer() {
-  if (batcher_) batcher_->Close();
+  batcher_->Close();
   if (pool_) pool_->Shutdown();
 }
 
@@ -156,8 +152,6 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
       std::vector<double> cached;
       if (cache_->Get(cache_key, &cached)) {
         out.SetRow(row, cached);
-        auditor_.RecordServed(client_id, 1);
-        predictions_served_.Add();
         ++cache_hits;
         continue;
       }
@@ -168,25 +162,26 @@ core::Result<la::Matrix> PredictionServer::PredictBatch(
     item.cache_key = cache_key;
     misses.push_back(item);
   }
+  if (cache_hits > 0) {
+    auditor_.RecordServedEach(client_id, cache_hits);
+    predictions_served_.Add(cache_hits);
+  }
 
   RequestCompletion request(client_id, &out, span, misses.size());
   for (BatchItem& item : misses) item.request = &request;
-  if (batcher_ == nullptr) {
-    // Synchronous mode: fuse the misses into forward passes of at most
-    // max_batch_size rows (0 = one pass over everything).
-    const std::size_t chunk = config_.max_batch_size == 0
-                                  ? misses.size()
-                                  : config_.max_batch_size;
-    const std::span<const BatchItem> all(misses);
-    for (std::size_t begin = 0; begin < all.size(); begin += chunk) {
-      ExecuteBatch(all.subspan(begin, std::min(chunk, all.size() - begin)));
+  // One push that wakes no one: this thread drains the queue itself, so a
+  // small request runs here without a hand-off. An empty queue means this
+  // request's remaining rows are executing on helpers or other callers.
+  if (!misses.empty() && !batcher_->Push(std::move(misses))) {
+    return core::Status::FailedPrecondition("prediction server is shut down");
+  }
+  while (!request.rows_left.try_wait()) {
+    const std::vector<BatchItem> batch = batcher_->TryPopBatch();
+    if (batch.empty()) {
+      request.rows_left.wait();
+      break;
     }
-  } else if (!misses.empty()) {
-    // One push: the misses queue contiguously and complete together.
-    if (!batcher_->Push(std::move(misses))) {
-      return core::Status::FailedPrecondition("prediction server is shut down");
-    }
-    request.rows_left.wait();
+    ExecuteBatch(batch);
   }
 
   if (span != nullptr) {
@@ -239,14 +234,12 @@ void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
     begin = end;
   }
 
-  // Queue wait: time between Push() and this worker picking the batch up.
-  // Synchronous-mode items never queued (submit_ns == 0) and metrics-disabled
-  // builds record nothing.
+  // Queue wait: time between Push() and this thread popping the batch.
+  // Metrics-disabled builds record nothing.
   const std::uint64_t pop_ns = obs::MetricsNowNanos();
   if (pop_ns != 0) {
     for (const std::span<const BatchItem> run : runs) {
       const std::uint64_t submit_ns = run.front().submit_ns;
-      if (submit_ns == 0) continue;
       const std::uint64_t wait_ns =
           pop_ns >= submit_ns ? pop_ns - submit_ns : 0;
       for (std::size_t i = 0; i < run.size(); ++i) {
@@ -319,15 +312,16 @@ void PredictionServer::ExecuteBatch(std::span<const BatchItem> items) {
         }
       }
       if (cache_ != nullptr) cache_->Put(item.cache_key, scores);
-      auditor_.RecordServed(item.request->client_id, 1);
       predictions_served_.Add();
       item.request->out->SetRow(item.row, scores);
     }
   }
   // Last: a finished request may return and free its completion at once.
+  // The auditor's lock is taken once per request run, not once per row.
   for (const std::span<const BatchItem> run : runs) {
-    run.front().request->rows_left.count_down(
-        static_cast<std::ptrdiff_t>(run.size()));
+    RequestCompletion& request = *run.front().request;
+    auditor_.RecordServedEach(request.client_id, run.size());
+    request.rows_left.count_down(static_cast<std::ptrdiff_t>(run.size()));
   }
 }
 

@@ -30,12 +30,12 @@ namespace vfl::serve {
 
 /// Tuning knobs for the concurrent prediction server.
 struct PredictionServerConfig {
-  /// Worker threads executing fused forward passes. 0 = synchronous mode:
-  /// requests execute in the caller's thread (the mode the fed façade uses).
+  /// Helper threads for rows a caller leaves queued (every caller runs
+  /// forward passes itself until its own rows are done). 0 = callers only.
   std::size_t num_threads = 0;
-  /// Upper bound on rows fused into one model forward pass. A free worker
-  /// takes everything queued up to this cap and never waits for more, so
-  /// batches grow with load. 0 = unbounded (synchronous mode only).
+  /// Upper bound on rows fused into one model forward pass. Each pop takes
+  /// everything queued up to this cap and never waits for more, so batches
+  /// grow with load. 0 = no cap.
   std::size_t max_batch_size = 16;
   /// Total entries in the sharded result cache. 0 disables caching.
   std::size_t cache_capacity = 0;
@@ -71,7 +71,7 @@ struct PredictionServerStats {
 
 /// Concurrent joint-prediction server: the production-shaped core of the
 /// Sec. II-B protocol simulation. Wraps any trained models::Model plus a
-/// party set behind a thread-pool executor with micro-batching, a sharded
+/// party set behind a caller-drained micro-batcher, a sharded
 /// LRU result cache, and a query auditor implementing the paper's
 /// server-side countermeasure angle (per-client budgets, rate stats, audit
 /// log) against long-term prediction accumulation (Fig. 9).
@@ -88,7 +88,7 @@ class PredictionServer {
                    std::vector<const fed::Party*> parties,
                    PredictionServerConfig config = {});
 
-  /// Drains in-flight requests, stops the workers.
+  /// Drains in-flight requests, stops the helper threads.
   ~PredictionServer();
 
   PredictionServer(const PredictionServer&) = delete;
@@ -110,8 +110,9 @@ class PredictionServer {
   /// Serves `sample_ids` (duplicates allowed) and returns one confidence row
   /// per requested id, in request order. Admission is all-or-nothing: the
   /// whole batch is rejected when the client's budget cannot cover it.
-  /// Cache misses enter the batcher together and complete together; the
-  /// call returns only once none of its rows is queued or executing.
+  /// Cache misses enter the batcher in one push and the calling thread runs
+  /// queued batches until its own rows are done; it returns only once none
+  /// of its rows is queued or executing.
   /// `span`, when non-null, receives per-stage timings (queue wait, model
   /// forward, defense) attributed across the request's fused batches.
   core::Result<la::Matrix> PredictBatch(
@@ -149,7 +150,7 @@ class PredictionServer {
   const PredictionServerConfig& config() const { return config_; }
 
  private:
-  /// Long-running loop each worker thread executes: pop fused batches until
+  /// Long-running loop each helper thread executes: pop fused batches until
   /// the batcher closes.
   void WorkerLoop();
 

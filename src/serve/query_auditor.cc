@@ -171,6 +171,18 @@ void QueryAuditor::RecordServed(std::uint64_t client_id, std::size_t count,
   RecordServedLocked(client_id, *state, count, now_ns);
 }
 
+void QueryAuditor::RecordServedEach(std::uint64_t client_id,
+                                    std::size_t vectors) {
+  const std::uint64_t now_ns = obs::NowNanos();
+  std::lock_guard<std::mutex> lock(mu_);
+  ClientState* state = FindLocked(client_id);
+  CHECK(state != nullptr) << "unknown client " << client_id;
+  if (state->first_seen_ns == 0) state->first_seen_ns = now_ns;
+  for (std::size_t i = 0; i < vectors; ++i) {
+    RecordServedLocked(client_id, *state, 1, now_ns);
+  }
+}
+
 core::Status QueryAuditor::AdmitAndRecordServed(std::uint64_t client_id,
                                                 std::size_t count,
                                                 std::uint64_t now_ns) {

@@ -170,6 +170,11 @@ class QueryAuditor {
   void RecordServed(std::uint64_t client_id, std::size_t count,
                     std::uint64_t now_ns);
 
+  /// `vectors` calls of RecordServed(client_id, 1) under one lock
+  /// acquisition: the same per-vector events and rate samples, without
+  /// taking the admission mutex once per row.
+  void RecordServedEach(std::uint64_t client_id, std::size_t vectors);
+
   /// Fused Admit + RecordServed under one lock acquisition and one client
   /// lookup — the simulator's per-event fast path (an offered query either
   /// bounces off the budget or is served immediately; there is no in-flight

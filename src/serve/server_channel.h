@@ -12,7 +12,7 @@
 namespace vfl::serve {
 
 /// Query channel backed by the concurrent PredictionServer: every fetch is
-/// realistic attack traffic through the batcher, worker pool, result cache,
+/// realistic attack traffic through the batcher, helper threads, result cache,
 /// and query auditor. The channel registers one "adversary" client on the
 /// server; server-side auditor denials — the per-client budget from
 /// PredictionServerConfig or an operator's SetQueryBudget — surface as typed

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -222,6 +223,53 @@ TEST(ExperimentRunnerTest, ServerChannelMatchesOfflineChannel) {
   ASSERT_TRUE(runner.Run(*offline_spec, sink, offline_options).ok());
   ASSERT_TRUE(runner.Run(*server_spec, sink, server_options).ok());
   EXPECT_EQ(offline_conf, server_conf);
+}
+
+/// Runs the spec into a CsvRowSink writing to a tmpfile and returns the
+/// emitted bytes.
+std::string RunToCsv(const ExperimentSpec& spec) {
+  std::FILE* tmp = std::tmpfile();
+  EXPECT_NE(tmp, nullptr);
+  CsvRowSink sink(tmp);
+  ExperimentRunner runner(SmokeScale());
+  const core::Status status = runner.Run(spec, sink);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::fflush(tmp);
+  std::rewind(tmp);
+  std::string bytes;
+  char buffer[4096];
+  std::size_t read;
+  while ((read = std::fread(buffer, 1, sizeof(buffer), tmp)) > 0) {
+    bytes.append(buffer, read);
+  }
+  std::fclose(tmp);
+  return bytes;
+}
+
+TEST(ExperimentRunnerTest, UncappedThreadedServerCsvMatchesOffline) {
+  // batch=0 means "no cap" with helper threads too: the spec is accepted and
+  // reveals the offline channel's exact bits.
+  ServingSpec serving;
+  serving.threads = 4;
+  serving.batch = 0;
+  auto build = [&serving](const std::string& channel) {
+    return ExperimentSpecBuilder("uncapped")
+        .Dataset("bank")
+        .Model("lr")
+        .Attack("esa")
+        .TargetFraction(0.3)
+        .Trials(1)
+        .Channel(channel)
+        .Serving(serving)
+        .Build();
+  };
+  const auto offline_spec = build("offline");
+  const auto server_spec = build("server");
+  ASSERT_TRUE(offline_spec.ok());
+  ASSERT_TRUE(server_spec.ok()) << server_spec.status().ToString();
+  const std::string offline = RunToCsv(*offline_spec);
+  ASSERT_FALSE(offline.empty());
+  EXPECT_EQ(RunToCsv(*server_spec), offline);
 }
 
 TEST(ExperimentRunnerTest, ChannelGridLabelsRows) {

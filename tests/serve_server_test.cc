@@ -1,5 +1,8 @@
 #include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,6 +89,44 @@ TEST(BatcherTest, CloseRejectsPushesAndDrains) {
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].sample_id, 7u);
   EXPECT_TRUE(batcher.PopBatch().empty());
+}
+
+TEST(BatcherTest, TryPopBatchOnEmptyQueueReturnsEmpty) {
+  Batcher batcher(4);
+  EXPECT_TRUE(batcher.TryPopBatch().empty());
+  EXPECT_TRUE(batcher.Push(MakeItems(3, 2)));
+  EXPECT_EQ(batcher.TryPopBatch().size(), 2u);
+  EXPECT_TRUE(batcher.TryPopBatch().empty());
+}
+
+TEST(BatcherTest, ZeroCapPopsEverythingQueuedInOneBatch) {
+  Batcher batcher(0);
+  EXPECT_TRUE(batcher.Push(MakeItems(0, 100)));
+  const std::vector<BatchItem> batch = batcher.PopBatch();
+  ASSERT_EQ(batch.size(), 100u);
+  EXPECT_EQ(batch.front().sample_id, 0u);
+  EXPECT_EQ(batch.back().sample_id, 99u);
+  EXPECT_EQ(batcher.depth(), 0u);
+}
+
+TEST(BatcherTest, PopLeavingRowsWakesBlockedConsumer) {
+  Batcher batcher(2);
+  std::future<std::vector<BatchItem>> helper = std::async(
+      std::launch::async, [&batcher] { return batcher.PopBatch(); });
+  // Let the helper block in PopBatch; the push itself wakes no one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(batcher.Push(MakeItems(0, 3)));
+  const std::vector<BatchItem> mine = batcher.TryPopBatch();
+  // The pop that left a row behind must wake the helper for it.
+  const bool woke = helper.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+  batcher.Close();  // unblocks the helper if it was never woken
+  EXPECT_TRUE(woke);
+  const std::vector<BatchItem> theirs = helper.get();
+  EXPECT_EQ(mine.size() + theirs.size(), 3u);
+  EXPECT_FALSE(mine.empty());
+  EXPECT_FALSE(theirs.empty());
+  EXPECT_EQ(batcher.depth(), 0u);
 }
 
 // --- result cache -----------------------------------------------------------
@@ -176,6 +217,24 @@ TEST(QueryAuditorTest, EventLogRecordsAdmissionsDenialsAndServes) {
   EXPECT_LT(events[0].seq, events[1].seq);
   EXPECT_LT(events[1].seq, events[2].seq);
   EXPECT_EQ(auditor.dropped_events(), 0u);
+}
+
+TEST(QueryAuditorTest, RecordServedEachMatchesPerVectorCalls) {
+  QueryAuditor each_auditor, single_auditor;
+  const std::uint64_t each = each_auditor.RegisterClient("c");
+  const std::uint64_t single = single_auditor.RegisterClient("c");
+  each_auditor.RecordServedEach(each, 3);
+  for (int i = 0; i < 3; ++i) single_auditor.RecordServed(single, 1);
+
+  EXPECT_EQ(each_auditor.record(each).served, 3u);
+  const std::vector<AuditEvent> events = each_auditor.RecentEvents();
+  const std::vector<AuditEvent> expected = single_auditor.RecentEvents();
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, expected[i].seq);
+    EXPECT_EQ(events[i].event, AuditEventKind::kServed);
+    EXPECT_EQ(events[i].count, 1u);
+  }
 }
 
 TEST(QueryAuditorTest, EventLogIsACappedRingBuffer) {
@@ -367,6 +426,35 @@ TEST(QueryAuditorTest, VerdictsCoverEveryClientInIdOrder) {
 
 // --- prediction server ------------------------------------------------------
 
+/// Forwards to a wrapped model and records the thread of every forward pass.
+class ThreadRecordingModel : public models::Model {
+ public:
+  explicit ThreadRecordingModel(const models::Model* inner) : inner_(inner) {}
+
+  la::Matrix PredictProba(const la::Matrix& x) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    return inner_->PredictProba(x);
+  }
+  std::size_t num_features() const override { return inner_->num_features(); }
+  std::size_t num_classes() const override { return inner_->num_classes(); }
+  std::unique_ptr<models::Model> Clone() const override {
+    return std::make_unique<ThreadRecordingModel>(inner_);
+  }
+
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  const models::Model* inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::thread::id> threads_;
+};
+
 class PredictionServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -416,6 +504,56 @@ TEST_F(PredictionServerTest, BatchedConcurrentMatchesSequentialBitwise) {
   EXPECT_EQ(stats.model_batches,
             (dataset_.num_samples() + config.max_batch_size - 1) /
                 config.max_batch_size);
+}
+
+TEST_F(PredictionServerTest, SingleRowRequestRunsOnCallingThread) {
+  ThreadRecordingModel model(&lr_);
+  PredictionServerConfig config;
+  config.num_threads = 4;
+  config.max_batch_size = 16;
+  PredictionServer server(&model,
+                          {scenario_.adversary_party.get(),
+                           scenario_.target_party.get()},
+                          config);
+  const std::uint64_t client = server.RegisterClient("adversary");
+  // A helper still starting up would take a queued row before parking in
+  // PopBatch, as it should under load; once parked, only a pop that leaves
+  // rows behind wakes it, and a 1-row request never does.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (std::size_t id = 0; id < 10; ++id) {
+    const core::Result<la::Matrix> row = server.PredictBatch(client, {id});
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->Row(0), reference_.Row(id));
+  }
+  const std::vector<std::thread::id> threads = model.threads();
+  ASSERT_EQ(threads.size(), 10u);
+  for (const std::thread::id thread : threads) {
+    EXPECT_EQ(thread, std::this_thread::get_id());
+  }
+}
+
+TEST_F(PredictionServerTest, LargeRequestSplitsAtCapAcrossHelpers) {
+  PredictionServerConfig config;
+  config.num_threads = 4;
+  config.max_batch_size = 16;
+  std::unique_ptr<PredictionServer> server = MakeServer(config);
+  const std::uint64_t client = server->RegisterClient("active");
+  // 257 rows (ids wrap around the 160 samples; no cache, so every row runs
+  // the model): the caller and the helpers it wakes pop full batches of 16
+  // until the 1-row tail.
+  std::vector<std::size_t> ids(257);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = i % dataset_.num_samples();
+  }
+  const core::Result<la::Matrix> rows = server->PredictBatch(client, ids);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(rows->Row(i), reference_.Row(ids[i])) << "row " << i;
+  }
+  const PredictionServerStats stats = server->stats();
+  EXPECT_EQ(stats.model_batches, (ids.size() + 15) / 16);
+  EXPECT_EQ(stats.model_rows, ids.size());
 }
 
 TEST_F(PredictionServerTest, SynchronousFusedBatchMatchesSequentialBitwise) {
