@@ -37,8 +37,8 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
-#include "serve/adversary_client.h"
 #include "serve/prediction_server.h"
+#include "serve/server_channel.h"
 
 namespace {
 

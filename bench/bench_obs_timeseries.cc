@@ -25,8 +25,8 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "serve/adversary_client.h"
 #include "serve/prediction_server.h"
+#include "serve/server_channel.h"
 
 namespace {
 

@@ -26,8 +26,8 @@
 #include "fed/feature_split.h"
 #include "fed/scenario.h"
 #include "obs/metrics.h"
-#include "serve/adversary_client.h"
 #include "serve/prediction_server.h"
+#include "serve/server_channel.h"
 
 namespace {
 

@@ -118,18 +118,15 @@
 #include "obs/snapshot_io.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "serve/adversary_client.h"
 #include "serve/query_auditor.h"
+#include "serve/server_channel.h"
 
 namespace {
 
 using vfl::core::Status;
 using vfl::core::StatusOr;
 
-struct ComponentArg {
-  std::string kind;
-  vfl::exp::ConfigMap config;
-};
+using ComponentArg = vfl::exp::KindSpec;
 
 struct Options {
   std::string dataset = "bank";
@@ -179,16 +176,10 @@ struct Options {
 
 /// Parses "KIND" or "KIND:k=v,k=v" into a component reference.
 StatusOr<ComponentArg> ParseComponent(std::string_view text) {
-  ComponentArg component;
-  const std::size_t colon = text.find(':');
-  component.kind = std::string(text.substr(0, colon));
+  VFL_ASSIGN_OR_RETURN(ComponentArg component, vfl::exp::SplitKindSpec(text));
   if (component.kind.empty()) {
     return Status::InvalidArgument("empty component name in '" +
                                    std::string(text) + "'");
-  }
-  if (colon != std::string_view::npos) {
-    VFL_ASSIGN_OR_RETURN(component.config,
-                         vfl::exp::ConfigMap::Parse(text.substr(colon + 1)));
   }
   return component;
 }

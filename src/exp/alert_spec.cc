@@ -10,12 +10,9 @@ namespace vfl::exp {
 namespace {
 
 core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
-  const std::size_t colon = entry.find(':');
-  const std::string_view kind_name =
-      colon == std::string_view::npos ? entry : entry.substr(0, colon);
-  const std::string_view body =
-      colon == std::string_view::npos ? std::string_view{}
-                                      : entry.substr(colon + 1);
+  VFL_ASSIGN_OR_RETURN(KindSpec parsed, SplitKindSpec(entry));
+  const std::string& kind_name = parsed.kind;
+  const ConfigMap& config = parsed.config;
 
   obs::AlertRule rule;
   if (kind_name == "threshold") {
@@ -27,10 +24,9 @@ core::StatusOr<obs::AlertRule> ParseOneRule(std::string_view entry) {
   } else {
     return core::Status::InvalidArgument(
         "alert rule kind must be threshold|rate|slo, got '" +
-        std::string(kind_name) + "'");
+        kind_name + "'");
   }
 
-  VFL_ASSIGN_OR_RETURN(ConfigMap config, ConfigMap::Parse(body));
   VFL_ASSIGN_OR_RETURN(rule.metric, config.GetString("metric", ""));
   if (rule.metric.empty()) {
     return core::Status::InvalidArgument("alert rule needs metric=NAME");

@@ -176,20 +176,12 @@ const ChannelRegistry& GlobalChannelRegistry() {
   return registry;
 }
 
-std::string_view ChannelSpecKind(std::string_view spec) {
-  return spec.substr(0, spec.find(':'));
-}
-
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeChannel(
     const std::string& spec, ChannelRequest&& request) {
-  const std::string_view kind = ChannelSpecKind(spec);
+  VFL_ASSIGN_OR_RETURN(KindSpec parsed, SplitKindSpec(spec));
   VFL_ASSIGN_OR_RETURN(const ChannelRegistry::Entry* entry,
-                       GlobalChannelRegistry().Find(kind));
-  if (kind.size() < spec.size()) {
-    VFL_ASSIGN_OR_RETURN(
-        request.config,
-        ConfigMap::Parse(std::string_view(spec).substr(kind.size() + 1)));
-  }
+                       GlobalChannelRegistry().Find(parsed.kind));
+  request.config = std::move(parsed.config);
   return entry->factory(std::move(request));
 }
 

@@ -44,10 +44,6 @@ using ChannelRegistry = Registry<ChannelFactory>;
 /// access: "offline", "service", "server", "net".
 const ChannelRegistry& GlobalChannelRegistry();
 
-/// The registry-kind part of a channel spec string: "net:port=0,clients=8"
-/// -> "net" (a bare kind passes through unchanged).
-std::string_view ChannelSpecKind(std::string_view spec);
-
 /// Resolves a channel spec "KIND[:k=v,...]": looks the kind up, parses the
 /// config tail into request.config, and builds the channel.
 core::StatusOr<std::unique_ptr<fed::QueryChannel>> MakeChannel(

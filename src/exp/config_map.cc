@@ -171,4 +171,19 @@ ConfigMap ConfigMap::MergedWith(const ConfigMap& overrides) const {
   return merged;
 }
 
+std::string_view SpecKind(std::string_view spec) {
+  return spec.substr(0, spec.find(':'));
+}
+
+core::StatusOr<KindSpec> SplitKindSpec(std::string_view spec) {
+  KindSpec parsed;
+  const std::string_view kind = SpecKind(spec);
+  parsed.kind = std::string(kind);
+  if (kind.size() < spec.size()) {
+    VFL_ASSIGN_OR_RETURN(parsed.config,
+                         ConfigMap::Parse(spec.substr(kind.size() + 1)));
+  }
+  return parsed;
+}
+
 }  // namespace vfl::exp

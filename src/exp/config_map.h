@@ -78,6 +78,21 @@ class ConfigMap {
   mutable std::map<std::string, bool, std::less<>> consumed_;
 };
 
+/// The registry-kind part of a "KIND[:k=v,...]" spec: "net:port=0,clients=8"
+/// -> "net" (a bare kind passes through unchanged).
+std::string_view SpecKind(std::string_view spec);
+
+/// A "KIND[:k=v,...]" spec split at its first ':'.
+struct KindSpec {
+  std::string kind;
+  /// The parsed tail; empty for a bare kind.
+  ConfigMap config;
+};
+
+/// Splits a "KIND[:k=v,...]" spec (channels, sim profiles, alert rules) into
+/// its kind and the tail parsed by ConfigMap::Parse, whose error it returns.
+core::StatusOr<KindSpec> SplitKindSpec(std::string_view spec);
+
 }  // namespace vfl::exp
 
 #endif  // VFLFIA_EXP_CONFIG_MAP_H_

@@ -256,7 +256,7 @@ core::StatusOr<std::unique_ptr<AttackRunner>> MakeDetect(
                        config.GetString("arrival", detect.arrival));
   if (!detect.arrival.empty()) {
     VFL_RETURN_IF_ERROR(
-        GlobalSimRegistry().Find(SimSpecKind(detect.arrival)).status());
+        GlobalSimRegistry().Find(SpecKind(detect.arrival)).status());
   }
   VFL_ASSIGN_OR_RETURN(detect.clients,
                        config.GetSize("clients", detect.clients));
@@ -420,9 +420,9 @@ std::string DetectionCsvRow(const AttackObservation& observation) {
   const TrialObservation& trial = *observation.trial;
   const std::string_view sim_kind =
       trial.sim_profile.empty() ? std::string_view("poisson")
-                                : SimSpecKind(trial.sim_profile);
+                                : SpecKind(trial.sim_profile);
   // Kind parts only: channel/sim spec tails carry commas ("net:port=0,...").
-  const std::string_view channel_kind = ChannelSpecKind(trial.channel_kind);
+  const std::string_view channel_kind = SpecKind(trial.channel_kind);
   char buffer[512];
   std::snprintf(
       buffer, sizeof(buffer),

@@ -43,9 +43,9 @@ core::Status ValidateSpec(const ExperimentSpec& spec) {
     // Specs may carry per-kind config ("net:port=0"); structural checks key
     // on the kind part, which is also the whole row label — two specs of one
     // kind would emit indistinguishable rows even with different configs.
-    const std::string_view kind = ChannelSpecKind(channel);
+    const std::string_view kind = SpecKind(channel);
     for (std::size_t j = 0; j < i; ++j) {
-      if (ChannelSpecKind(spec.channels[j]) == kind) {
+      if (SpecKind(spec.channels[j]) == kind) {
         return core::Status::InvalidArgument(
             "experiment '" + spec.name + "': channel kind '" +
             std::string(kind) +
@@ -61,9 +61,9 @@ core::Status ValidateSpec(const ExperimentSpec& spec) {
     }
     // Like channels: the kind part is the whole row label, so duplicate
     // kinds would emit indistinguishable rows.
-    const std::string_view kind = SimSpecKind(sim);
+    const std::string_view kind = SpecKind(sim);
     for (std::size_t j = 0; j < i; ++j) {
-      if (SimSpecKind(spec.sims[j]) == kind) {
+      if (SpecKind(spec.sims[j]) == kind) {
         return core::Status::InvalidArgument(
             "experiment '" + spec.name + "': sim profile '" +
             std::string(kind) +

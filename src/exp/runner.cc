@@ -140,9 +140,9 @@ CellResult RunTrialCellImpl(const DatasetGrid& grid, const ModelHandle& model,
     const std::string root = request.serving.audit_wal_dir;
     (void)store::Env::Posix().CreateDir(root);
     std::string leaf = grid.dataset;
-    leaf += "-" + std::string(ChannelSpecKind(grid.channel_kind));
+    leaf += "-" + std::string(SpecKind(grid.channel_kind));
     if (!grid.sim_profile.empty()) {
-      leaf += "-" + std::string(SimSpecKind(grid.sim_profile));
+      leaf += "-" + std::string(SpecKind(grid.sim_profile));
     }
     leaf += "-p" + std::to_string(pct) + "-t" + std::to_string(trial);
     request.serving.audit_wal_dir = store::JoinPath(root, leaf);
@@ -273,7 +273,7 @@ core::Status ExperimentRunner::Run(const ExperimentSpec& spec,
   // per-kind config after a colon: "net:port=0").
   for (const std::string& channel_spec : spec.channels) {
     VFL_RETURN_IF_ERROR(
-        GlobalChannelRegistry().Find(ChannelSpecKind(channel_spec)).status());
+        GlobalChannelRegistry().Find(SpecKind(channel_spec)).status());
   }
 
   // Sim profiles resolve (kind + config tail) up front too. An empty axis
@@ -355,10 +355,10 @@ core::Status ExperimentRunner::Run(const ExperimentSpec& spec,
       // profiles follow the same rule with "{kind}".
       std::string experiment_suffix =
           spec.channels.size() > 1
-              ? "[" + std::string(ChannelSpecKind(channel_kind)) + "]"
+              ? "[" + std::string(SpecKind(channel_kind)) + "]"
               : "";
       if (sims.size() > 1) {
-        experiment_suffix += "{" + std::string(SimSpecKind(sim_profile)) + "}";
+        experiment_suffix += "{" + std::string(SpecKind(sim_profile)) + "}";
       }
 
       // One result slot per (fraction, trial) cell; cell c covers fraction

@@ -77,21 +77,12 @@ const SimRegistry& GlobalSimRegistry() {
   return registry;
 }
 
-std::string_view SimSpecKind(std::string_view spec) {
-  return spec.substr(0, spec.find(':'));
-}
-
 core::StatusOr<sim::ArrivalSpec> MakeArrivalSpec(std::string_view spec) {
   if (spec.empty()) spec = "poisson";
-  const std::string_view kind = SimSpecKind(spec);
+  VFL_ASSIGN_OR_RETURN(const KindSpec parsed, SplitKindSpec(spec));
   VFL_ASSIGN_OR_RETURN(const SimRegistry::Entry* entry,
-                       GlobalSimRegistry().Find(kind));
-  ConfigMap config;
-  if (kind.size() < spec.size()) {
-    VFL_ASSIGN_OR_RETURN(config,
-                         ConfigMap::Parse(spec.substr(kind.size() + 1)));
-  }
-  return entry->factory(config);
+                       GlobalSimRegistry().Find(parsed.kind));
+  return entry->factory(parsed.config);
 }
 
 }  // namespace vfl::exp

@@ -22,10 +22,6 @@ using SimRegistry = Registry<SimFactory>;
 /// ExperimentSpec::sims grid axis and the CLI's --sim argument.
 const SimRegistry& GlobalSimRegistry();
 
-/// The registry-kind part of a sim spec string: "bursty:factor=12" ->
-/// "bursty" (a bare kind passes through unchanged).
-std::string_view SimSpecKind(std::string_view spec);
-
 /// Resolves a sim spec "KIND[:k=v,...]" into an arrival process. An empty
 /// spec resolves to the default Poisson profile.
 core::StatusOr<sim::ArrivalSpec> MakeArrivalSpec(std::string_view spec);

@@ -1,6 +1,8 @@
 #include "fed/query_channel.h"
 
 #include <algorithm>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "core/check.h"
@@ -150,6 +152,43 @@ core::StatusOr<AdversaryView> QueryChannel::CollectView() {
   view.model = model_;
   view.split = split_;
   return view;
+}
+
+core::StatusOr<la::Matrix> QueryChannel::FloodFetch(
+    const std::vector<std::size_t>& sample_ids, std::size_t clients,
+    const ChunkFetch& fetch_chunk) {
+  clients = std::min(std::max<std::size_t>(clients, 1),
+                     std::max<std::size_t>(sample_ids.size(), 1));
+  if (clients == 1) return fetch_chunk(sample_ids);
+
+  // Each submitter thread fetches one contiguous chunk and writes its
+  // disjoint row range of `out` without synchronization. The first error
+  // wins and the caller receives nothing.
+  la::Matrix out(sample_ids.size(), num_classes_);
+  std::mutex error_mu;
+  core::Status first_error;
+  std::vector<std::thread> submitters;
+  submitters.reserve(clients);
+  const std::size_t chunk = (sample_ids.size() + clients - 1) / clients;
+  for (std::size_t begin = 0; begin < sample_ids.size(); begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, sample_ids.size());
+    submitters.emplace_back([&, begin, end] {
+      const std::vector<std::size_t> ids(sample_ids.begin() + begin,
+                                         sample_ids.begin() + end);
+      core::StatusOr<la::Matrix> rows = fetch_chunk(ids);
+      if (!rows.ok()) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (first_error.ok()) first_error = rows.status();
+        return;
+      }
+      for (std::size_t r = 0; r < ids.size(); ++r) {
+        out.SetRow(begin + r, rows->Row(r));
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  if (!first_error.ok()) return first_error;
+  return out;
 }
 
 // --- OfflineChannel ---------------------------------------------------------

@@ -137,6 +137,19 @@ class QueryChannel {
   virtual core::StatusOr<la::Matrix> Fetch(
       const std::vector<std::size_t>& sample_ids) = 0;
 
+  using ChunkFetch = std::function<core::StatusOr<la::Matrix>(
+      const std::vector<std::size_t>& ids)>;
+
+  /// Concurrent flood shared by the serving channels: splits `sample_ids`
+  /// into min(`clients`, size) contiguous chunks of ceil(size / clients)
+  /// ids, fetches each on its own thread through `fetch_chunk` (which must
+  /// be thread-safe) and lands the rows in request order. The first error
+  /// wins and the caller receives no rows. One chunk runs on the calling
+  /// thread and returns `fetch_chunk`'s matrix as is.
+  core::StatusOr<la::Matrix> FloodFetch(
+      const std::vector<std::size_t>& sample_ids, std::size_t clients,
+      const ChunkFetch& fetch_chunk);
+
  private:
   /// Registers the per-kind counters (channel.<kind>.*) on the first Query —
   /// kind() is virtual, so registration cannot happen in the constructor.

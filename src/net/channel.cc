@@ -1,23 +1,22 @@
 #include "net/channel.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 #include <variant>
 
 #include "core/check.h"
-#include "obs/snapshot_io.h"
-#include "serve/adversary_client.h"
+#include "serve/server_channel.h"
 
 namespace vfl::net {
 
 namespace {
 
-/// Shared scrape transport: dial with the retry schedule, arm the deadline,
-/// send one request frame, read + decode one response frame.
-core::StatusOr<Message> ScrapeRoundTrip(std::uint16_t port,
-                                        const std::string& request_frame,
-                                        const ScrapeOptions& options) {
+/// Shared scrape client: dials with the retry schedule, arms the deadline,
+/// sends one request frame, and decodes the kTimeseriesOk reply's frames
+/// through the validating timeseries codec.
+core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeFrames(
+    std::uint16_t port, const std::string& request_frame,
+    std::uint64_t request_id, const ScrapeOptions& options) {
   VFL_ASSIGN_OR_RETURN(Socket conn,
                        ConnectLoopback(port, options.connect_attempts,
                                        options.connect_backoff));
@@ -28,7 +27,22 @@ core::StatusOr<Message> ScrapeRoundTrip(std::uint16_t port,
   VFL_RETURN_IF_ERROR(conn.SendAll(request_frame));
   VFL_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> payload,
                        conn.RecvFrame(options.max_frame_bytes));
-  return DecodeFrame(payload.data(), payload.size());
+  VFL_ASSIGN_OR_RETURN(const Message message,
+                       DecodeFrame(payload.data(), payload.size()));
+  if (const auto* failure = std::get_if<StatusResponse>(&message)) {
+    return failure->status;
+  }
+  const auto* response = std::get_if<TimeseriesOkResponse>(&message);
+  if (response == nullptr || response->request_id != request_id) {
+    return core::Status::Internal("unexpected scrape response frame");
+  }
+  std::vector<obs::TimeseriesFrame> frames;
+  frames.reserve(response->frames.size());
+  for (const std::string& bytes : response->frames) {
+    VFL_ASSIGN_OR_RETURN(auto frame, obs::DecodeTimeseriesFrame(bytes));
+    frames.push_back(std::move(frame));
+  }
+  return frames;
 }
 
 }  // namespace
@@ -38,16 +52,13 @@ core::StatusOr<obs::MetricsSnapshot> ScrapeStats(std::uint16_t port,
   GetStatsRequest request;
   request.request_id = 1;
   VFL_ASSIGN_OR_RETURN(
-      const Message message,
-      ScrapeRoundTrip(port, EncodeGetStats(request), options));
-  if (const auto* failure = std::get_if<StatusResponse>(&message)) {
-    return failure->status;
+      const std::vector<obs::TimeseriesFrame> frames,
+      ScrapeFrames(port, EncodeGetStats(request), request.request_id,
+                   options));
+  if (frames.size() != 1) {
+    return core::Status::Internal("stats reply must hold exactly one frame");
   }
-  const auto* stats = std::get_if<StatsOkResponse>(&message);
-  if (stats == nullptr || stats->request_id != request.request_id) {
-    return core::Status::Internal("unexpected scrape response frame");
-  }
-  return obs::DecodeSnapshot(stats->payload);
+  return obs::SnapshotFromFrame(frames.front());
 }
 
 core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeTimeseries(
@@ -55,23 +66,8 @@ core::StatusOr<std::vector<obs::TimeseriesFrame>> ScrapeTimeseries(
   GetTimeseriesRequest request;
   request.request_id = 1;
   request.max_frames = max_frames;
-  VFL_ASSIGN_OR_RETURN(
-      const Message message,
-      ScrapeRoundTrip(port, EncodeGetTimeseries(request), options));
-  if (const auto* failure = std::get_if<StatusResponse>(&message)) {
-    return failure->status;
-  }
-  const auto* response = std::get_if<TimeseriesOkResponse>(&message);
-  if (response == nullptr || response->request_id != request.request_id) {
-    return core::Status::Internal("unexpected timeseries response frame");
-  }
-  std::vector<obs::TimeseriesFrame> frames;
-  frames.reserve(response->frames.size());
-  for (const std::string& bytes : response->frames) {
-    VFL_ASSIGN_OR_RETURN(auto frame, obs::DecodeTimeseriesFrame(bytes));
-    frames.push_back(std::move(frame));
-  }
-  return frames;
+  return ScrapeFrames(port, EncodeGetTimeseries(request), request.request_id,
+                      options);
 }
 
 NetChannel::NetChannel(std::uint16_t port, const fed::FeatureSplit& split,
@@ -192,7 +188,7 @@ core::Status NetChannel::Handshake(Socket& conn,
 
 core::Status NetChannel::FetchChunkOn(Socket& conn,
                                       const std::vector<std::size_t>& ids,
-                                      la::Matrix& out, std::size_t out_row) {
+                                      la::Matrix& out) {
   const std::size_t stride = std::max<std::size_t>(
       net_options_.max_rows_per_request, 1);
 
@@ -237,16 +233,17 @@ core::Status NetChannel::FetchChunkOn(Socket& conn,
       return core::Status::Internal("response shape mismatch");
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      out.SetRow(out_row + want.begin + r, scores->scores.Row(r));
+      out.SetRow(want.begin + r, scores->scores.Row(r));
     }
   }
   return core::Status::Ok();
 }
 
-core::Status NetChannel::FetchChunk(const std::vector<std::size_t>& ids,
-                                    la::Matrix& out, std::size_t out_row) {
+core::StatusOr<la::Matrix> NetChannel::FetchChunk(
+    const std::vector<std::size_t>& ids) {
+  la::Matrix out(ids.size(), num_classes());
   VFL_ASSIGN_OR_RETURN(Socket conn, AcquireConnection());
-  core::Status status = FetchChunkOn(conn, ids, out, out_row);
+  core::Status status = FetchChunkOn(conn, ids, out);
   if (status.code() == core::StatusCode::kIoError) {
     // Broken connection (server restarted, pooled socket went stale):
     // reconnect with backoff and replay the chunk once. Requests are
@@ -256,54 +253,21 @@ core::Status NetChannel::FetchChunk(const std::vector<std::size_t>& ids,
     VFL_ASSIGN_OR_RETURN(conn, ConnectLoopback(port_,
                                                net_options_.connect_attempts,
                                                net_options_.connect_backoff));
-    status = FetchChunkOn(conn, ids, out, out_row);
+    status = FetchChunkOn(conn, ids, out);
   }
-  if (status.ok()) {
-    ReleaseConnection(std::move(conn));
-  }
-  return status;
+  VFL_RETURN_IF_ERROR(status);
+  ReleaseConnection(std::move(conn));
+  return out;
 }
 
 core::StatusOr<la::Matrix> NetChannel::Fetch(
     const std::vector<std::size_t>& sample_ids) {
-  la::Matrix out(sample_ids.size(), num_classes());
-  const std::size_t clients =
-      std::min(std::max<std::size_t>(net_options_.fetch_clients, 1),
-               std::max<std::size_t>(sample_ids.size(), 1));
-  if (clients <= 1) {
-    VFL_RETURN_IF_ERROR(FetchChunk(sample_ids, out, 0));
-    return out;
-  }
-
-  // Concurrent flood, mirroring ServerChannel: each submitter thread pushes
-  // one contiguous chunk over its own connection and writes its disjoint row
-  // range of `out` without synchronization. Admission is all-or-nothing per
-  // wire request and the chunks race the server-side budget exactly like
-  // independent remote clients; the first error wins and the caller
-  // receives nothing.
-  std::mutex error_mu;
-  core::Status first_error;
-  std::vector<std::thread> submitters;
-  submitters.reserve(clients);
-  const std::size_t chunk = (sample_ids.size() + clients - 1) / clients;
-  for (std::size_t c = 0; c < clients; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, sample_ids.size());
-    if (begin >= end) break;
-    submitters.emplace_back([this, &sample_ids, &out, &error_mu, &first_error,
-                             begin, end] {
-      const std::vector<std::size_t> ids(sample_ids.begin() + begin,
-                                         sample_ids.begin() + end);
-      const core::Status status = FetchChunk(ids, out, begin);
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = status;
-      }
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  if (!first_error.ok()) return first_error;
-  return out;
+  // Each chunk travels over its own pooled connection and races the
+  // server-side budget exactly like an independent remote client.
+  return FloodFetch(sample_ids, net_options_.fetch_clients,
+                    [this](const std::vector<std::size_t>& ids) {
+                      return FetchChunk(ids);
+                    });
 }
 
 }  // namespace vfl::net

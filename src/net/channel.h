@@ -34,10 +34,13 @@ struct ScrapeOptions {
 };
 
 /// Remote metrics scrape: dials a NetServer at loopback `port`, issues one
-/// kGetStats frame (no Hello needed), and decodes the returned snapshot.
-/// Every failure is a typed Status — connect errors, a timeout
-/// (kDeadlineExceeded), a kStatus rejection from the server, or a payload
-/// that fails snapshot validation.
+/// kGetStats frame (no Hello needed), and rebuilds the server registry's
+/// snapshot from the one cumulative VTS1 frame of the reply
+/// (obs::SnapshotFromFrame). Names, types, values and histograms arrive
+/// exactly; units do not travel in frames, so every `MetricPoint::unit` is
+/// empty — no reader of a scraped snapshot uses them. Every failure is a
+/// typed Status — connect errors, a timeout (kDeadlineExceeded), a kStatus
+/// rejection from the server, or a frame that fails codec validation.
 core::StatusOr<obs::MetricsSnapshot> ScrapeStats(std::uint16_t port,
                                                  ScrapeOptions options = {});
 
@@ -150,14 +153,13 @@ class NetChannel : public fed::QueryChannel {
   void ReleaseConnection(Socket conn);
 
   /// Sends `ids` over `conn` — pipelining max_rows_per_request-sized
-  /// requests — and writes the score rows into `out` starting at `out_row`.
+  /// requests — and writes the score rows into `out` (one row per id).
   core::Status FetchChunkOn(Socket& conn,
                             const std::vector<std::size_t>& ids,
-                            la::Matrix& out, std::size_t out_row);
+                            la::Matrix& out);
 
   /// FetchChunkOn with the retry-once-on-fresh-connection policy.
-  core::Status FetchChunk(const std::vector<std::size_t>& ids,
-                          la::Matrix& out, std::size_t out_row);
+  core::StatusOr<la::Matrix> FetchChunk(const std::vector<std::size_t>& ids);
 
   /// Performs the Hello handshake on `conn`; fills client_id_/wire shape.
   core::Status Handshake(Socket& conn, std::string_view client_name);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "obs/snapshot_io.h"
 
 namespace vfl::net {
 
@@ -85,7 +84,7 @@ void NetServer::AcceptLoop() {
       conns_.emplace(conn_id, conn->fd());
     }
     const bool submitted = handlers_->Submit([this, conn, conn_id] {
-      ServeConnection(conn_id, *conn);
+      ServeConnection(*conn);
       std::lock_guard<std::mutex> lock(conns_mu_);
       conns_.erase(conn_id);
     });
@@ -98,8 +97,29 @@ void NetServer::AcceptLoop() {
   }
 }
 
-void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
-  (void)conn_id;
+void NetServer::Reject(Socket& conn, core::Status status) {
+  protocol_errors_.Add();
+  StatusResponse rejection;
+  rejection.status = std::move(status);
+  frames_out_.Add();
+  (void)conn.SendAll(EncodeStatus(rejection));
+}
+
+template <typename EncodeFn>
+bool NetServer::Reply(Socket& conn, obs::TraceSpan& span,
+                      obs::LatencyHistogram& latency,
+                      std::uint64_t handle_start_ns, EncodeFn encode) {
+  // The write stage covers serializing the response plus the socket write —
+  // the response path's cost, symmetric to the read stage.
+  const std::uint64_t write_start_ns = obs::MetricsNowNanos();
+  frames_out_.Add();
+  const bool sent = conn.SendAll(encode()).ok();
+  span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
+  latency.Record(obs::MetricsNowNanos() - handle_start_ns);
+  return sent;
+}
+
+void NetServer::ServeConnection(Socket& conn) {
   for (;;) {
     // A request starts when its length prefix arrives: the idle wait for the
     // next frame on a keep-alive connection (client think time) is neither
@@ -115,11 +135,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       // up; a transport error just ends the session.
       if (payload.status().code() != core::StatusCode::kIoError) {
         decode_rejects_.Add();
-        protocol_errors_.Add();
-        StatusResponse rejection;
-        rejection.status = payload.status();
-        frames_out_.Add();
-        (void)conn.SendAll(EncodeStatus(rejection));
+        Reject(conn, payload.status());
       }
       return;
     }
@@ -133,11 +149,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       // Garbage on the wire: reply with the typed decode error, then drop
       // the connection — framing can no longer be trusted.
       decode_rejects_.Add();
-      protocol_errors_.Add();
-      StatusResponse rejection;
-      rejection.status = message.status();
-      frames_out_.Add();
-      (void)conn.SendAll(EncodeStatus(rejection));
+      Reject(conn, message.status());
       return;
     }
     const std::uint64_t handle_start_ns = obs::MetricsNowNanos();
@@ -154,12 +166,10 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
                           response.client_id, arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeHelloOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      hello_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
+      if (!Reply(conn, span, hello_ns_, handle_start_ns,
+                 [&] { return EncodeHelloOk(response); })) {
+        return;
+      }
       continue;
     }
 
@@ -175,7 +185,15 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       }
       core::Result<la::Matrix> rows = backend_->PredictBatch(
           predict->client_id, ids, span.active() ? &span : nullptr);
-      if (!rows.ok()) {
+      bool sent = false;
+      if (rows.ok()) {
+        requests_served_.Add();
+        ScoresResponse response;
+        response.request_id = predict->request_id;
+        response.scores = std::move(*rows);
+        sent = Reply(conn, span, predict_ns_, handle_start_ns,
+                     [&] { return EncodeScores(response); });
+      } else {
         // Typed failure (kResourceExhausted on an auditor denial, OutOfRange
         // on a bad id, NotFound for an unknown client id) crosses the wire
         // as a status frame; the connection stays usable.
@@ -184,25 +202,9 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
         StatusResponse response;
         response.request_id = predict->request_id;
         response.status = rows.status();
-        const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-        frames_out_.Add();
-        const bool sent = conn.SendAll(EncodeStatus(response)).ok();
-        span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-        predict_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-        if (!sent) return;
-        continue;
+        sent = Reply(conn, span, predict_ns_, handle_start_ns,
+                     [&] { return EncodeStatus(response); });
       }
-      requests_served_.Add();
-      ScoresResponse response;
-      response.request_id = predict->request_id;
-      response.scores = std::move(*rows);
-      // The write stage covers serializing the score matrix plus the socket
-      // write — the response path's cost, symmetric to the read stage.
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeScores(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      predict_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
       if (!sent) return;
       continue;
     }
@@ -219,15 +221,14 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
       obs::MetricsRegistry& registry = config_.metrics != nullptr
                                            ? *config_.metrics
                                            : obs::MetricsRegistry::Global();
-      StatsOkResponse response;
+      TimeseriesOkResponse response;
       response.request_id = get_stats->request_id;
-      response.payload = obs::EncodeSnapshot(registry.Snapshot());
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeStatsOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      stats_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-      if (!sent) return;
+      response.frames.push_back(obs::EncodeTimeseriesFrame(
+          obs::DiffSnapshots({}, registry.Snapshot())));
+      if (!Reply(conn, span, stats_ns_, handle_start_ns,
+                 [&] { return EncodeTimeseriesOk(response); })) {
+        return;
+      }
       continue;
     }
 
@@ -237,6 +238,7 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
                           arrived_ns);
       span.AddStageNs("read", read_ns);
       span.AddStageNs("decode", decode_ns);
+      bool sent = false;
       if (config_.timeseries == nullptr) {
         // No collector is wired in: a typed reply, not a protocol error —
         // the connection stays usable.
@@ -245,38 +247,27 @@ void NetServer::ServeConnection(std::uint64_t conn_id, Socket& conn) {
         response.request_id = get_ts->request_id;
         response.status = core::Status::FailedPrecondition(
             "server has no timeseries collector");
-        frames_out_.Add();
-        const bool sent = conn.SendAll(EncodeStatus(response)).ok();
-        timeseries_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
-        if (!sent) return;
-        continue;
+        sent = Reply(conn, span, timeseries_ns_, handle_start_ns,
+                     [&] { return EncodeStatus(response); });
+      } else {
+        // Like kGetStats: the ring is read before this request's own
+        // response is counted, so scrapes never see themselves.
+        TimeseriesOkResponse response;
+        response.request_id = get_ts->request_id;
+        for (const obs::TimeseriesFrame& frame :
+             config_.timeseries->Frames(get_ts->max_frames)) {
+          response.frames.push_back(obs::EncodeTimeseriesFrame(frame));
+        }
+        sent = Reply(conn, span, timeseries_ns_, handle_start_ns,
+                     [&] { return EncodeTimeseriesOk(response); });
       }
-      // Like kGetStats: the ring is read before this request's own response
-      // is counted, so scrapes never see themselves.
-      TimeseriesOkResponse response;
-      response.request_id = get_ts->request_id;
-      const std::vector<obs::TimeseriesFrame> frames =
-          config_.timeseries->Frames(get_ts->max_frames);
-      response.frames.reserve(frames.size());
-      for (const obs::TimeseriesFrame& frame : frames) {
-        response.frames.push_back(obs::EncodeTimeseriesFrame(frame));
-      }
-      const std::uint64_t write_start_ns = obs::MetricsNowNanos();
-      frames_out_.Add();
-      const bool sent = conn.SendAll(EncodeTimeseriesOk(response)).ok();
-      span.AddStageNs("write", obs::MetricsNowNanos() - write_start_ns);
-      timeseries_ns_.Record(obs::MetricsNowNanos() - handle_start_ns);
       if (!sent) return;
       continue;
     }
 
     // A response type arriving at the server is a protocol violation.
-    protocol_errors_.Add();
-    StatusResponse rejection;
-    rejection.status = core::Status::InvalidArgument(
-        "server received a response-only message type");
-    frames_out_.Add();
-    (void)conn.SendAll(EncodeStatus(rejection));
+    Reject(conn, core::Status::InvalidArgument(
+                     "server received a response-only message type"));
     return;
   }
 }

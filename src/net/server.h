@@ -109,7 +109,17 @@ class NetServer {
  private:
   void AcceptLoop();
   /// Serves one connection until it closes or a frame fails to parse.
-  void ServeConnection(std::uint64_t conn_id, Socket& conn);
+  void ServeConnection(Socket& conn);
+  /// Answers a protocol violation with a typed status frame (the caller then
+  /// drops the connection).
+  void Reject(Socket& conn, core::Status status);
+  /// Sends one request's response frame: counts it in net.frames_out, stamps
+  /// the span's write stage (encode + send) and records the request's
+  /// handling latency. Returns false when the send failed.
+  template <typename EncodeFn>
+  bool Reply(Socket& conn, obs::TraceSpan& span,
+             obs::LatencyHistogram& latency, std::uint64_t handle_start_ns,
+             EncodeFn encode);
 
   serve::PredictionServer* backend_;
   NetServerConfig config_;

@@ -193,13 +193,6 @@ std::string EncodeGetStats(const GetStatsRequest& message) {
   return w.Finish();
 }
 
-std::string EncodeStatsOk(const StatsOkResponse& message) {
-  FrameWriter w(MessageType::kStatsOk, message.request_id, /*client_id=*/0);
-  w.PutU32(static_cast<std::uint32_t>(message.payload.size()));
-  w.PutBytes(message.payload);
-  return w.Finish();
-}
-
 std::string EncodeGetTimeseries(const GetTimeseriesRequest& message) {
   FrameWriter w(MessageType::kGetTimeseries, message.request_id,
                 /*client_id=*/0);
@@ -316,19 +309,6 @@ core::StatusOr<Message> DecodeFrame(const std::uint8_t* payload,
     case MessageType::kGetStats: {
       GetStatsRequest message;
       message.request_id = request_id;
-      VFL_RETURN_IF_ERROR(r.ExpectDrained());
-      return Message(std::move(message));
-    }
-    case MessageType::kStatsOk: {
-      VFL_ASSIGN_OR_RETURN(const std::uint32_t payload_len,
-                           r.U32("stats payload length"));
-      if (payload_len > r.remaining()) {
-        return core::Status::OutOfRange("stats payload length exceeds frame");
-      }
-      StatsOkResponse message;
-      message.request_id = request_id;
-      VFL_ASSIGN_OR_RETURN(message.payload,
-                           r.Bytes(payload_len, "stats payload"));
       VFL_RETURN_IF_ERROR(r.ExpectDrained());
       return Message(std::move(message));
     }

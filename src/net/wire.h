@@ -31,7 +31,7 @@ namespace vfl::net {
 /// come back as typed Status errors (kInvalidArgument / kOutOfRange), never
 /// a crash or an over-read.
 inline constexpr std::uint32_t kWireMagic = 0x56464C4E;  // "VFLN"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Bytes of the length prefix itself.
 inline constexpr std::size_t kLengthPrefixBytes = 4;
 /// Fixed header bytes inside the payload (magic..client_id).
@@ -55,16 +55,19 @@ enum class MessageType : std::uint8_t {
   /// request itself was unparseable.
   kStatus = 5,
   /// Client -> server: scrape the server's live metrics. Requires no Hello —
-  /// observability must work on a fresh connection.
+  /// observability must work on a fresh connection. Answered with a
+  /// kTimeseriesOk carrying one cumulative frame (see kTimeseriesOk).
   kGetStats = 6,
-  /// Server -> client: an encoded obs::MetricsSnapshot (the `vflobs 1` text
-  /// codec from obs/snapshot_io.h) as an opaque byte payload.
-  kStatsOk = 7,
+  // 7 is retired and must not be reused: a type-7 frame decodes as an
+  // unknown type.
   /// Client -> server: fetch the server's retained telemetry history (the
   /// TimeseriesCollector ring). Like kGetStats, requires no Hello.
   kGetTimeseries = 8,
   /// Server -> client: encoded obs::TimeseriesFrame payloads, oldest first,
   /// carried opaque (the timeseries codec validates on the consuming side).
+  /// The reply to kGetTimeseries holds the ring's delta frames; the reply to
+  /// kGetStats holds exactly one cumulative frame,
+  /// `obs::DiffSnapshots({}, registry.Snapshot())`.
   kTimeseriesOk = 9,
 };
 
@@ -100,14 +103,6 @@ struct GetStatsRequest {
   std::uint64_t request_id = 0;
 };
 
-struct StatsOkResponse {
-  std::uint64_t request_id = 0;
-  /// An obs::MetricsSnapshot in the `vflobs 1` text encoding. Carried opaque:
-  /// the wire layer checks only the byte-length framing; snapshot_io's
-  /// DecodeSnapshot validates the content on the consuming side.
-  std::string payload;
-};
-
 struct GetTimeseriesRequest {
   std::uint64_t request_id = 0;
   /// Newest frames to return; 0 = every retained frame.
@@ -123,8 +118,8 @@ struct TimeseriesOkResponse {
 /// One decoded inbound frame.
 using Message =
     std::variant<HelloRequest, HelloResponse, PredictRequest, ScoresResponse,
-                 StatusResponse, GetStatsRequest, StatsOkResponse,
-                 GetTimeseriesRequest, TimeseriesOkResponse>;
+                 StatusResponse, GetStatsRequest, GetTimeseriesRequest,
+                 TimeseriesOkResponse>;
 
 /// Encoders produce one complete frame, length prefix included, ready for a
 /// single stream write.
@@ -134,7 +129,6 @@ std::string EncodePredict(const PredictRequest& message);
 std::string EncodeScores(const ScoresResponse& message);
 std::string EncodeStatus(const StatusResponse& message);
 std::string EncodeGetStats(const GetStatsRequest& message);
-std::string EncodeStatsOk(const StatsOkResponse& message);
 std::string EncodeGetTimeseries(const GetTimeseriesRequest& message);
 std::string EncodeTimeseriesOk(const TimeseriesOkResponse& message);
 

@@ -4,28 +4,14 @@
 #include <string>
 #include <string_view>
 
-#include "core/status.h"
 #include "obs/metrics.h"
 
 namespace vfl::obs {
 
-/// Wire/disk codec and human renderers for MetricsSnapshot.
-///
-/// The encoded form is a line-oriented text format, chosen over binary so a
-/// scraped payload is directly greppable and diff-stable:
-///
-///   vflobs 1
-///   counter <name> <unit> <value>
-///   gauge <name> <unit> <value>
-///   hist <name> <unit> <count> <sum> <bucket>:<n> <bucket>:<n> ...
-///
-/// Names and units must not contain whitespace (instrument names in this
-/// codebase are dotted identifiers; units are single words). Decode is fully
-/// validated: a truncated, reordered, or garbage payload comes back as a
-/// typed kInvalidArgument, never a bogus snapshot — the same contract the
-/// binary wire layer holds, since this payload rides inside kStatsOk frames.
-std::string EncodeSnapshot(const MetricsSnapshot& snapshot);
-core::StatusOr<MetricsSnapshot> DecodeSnapshot(std::string_view encoded);
+/// Human renderers for a MetricsSnapshot. They print units, so they are for
+/// a local registry's snapshot; a snapshot scraped over the wire travels as a
+/// cumulative VTS1 frame (obs/timeseries.h `DiffSnapshots`/
+/// `SnapshotFromFrame`), which carries no units.
 
 /// Aligned human-readable table (the `vflfia_cli --metrics=text` dump).
 /// Histogram rows show count/mean/p50/p99/p999 computed from the buckets.

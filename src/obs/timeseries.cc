@@ -208,6 +208,81 @@ core::StatusOr<TimeseriesFrame> DecodeTimeseriesFrame(std::string_view bytes) {
   return frame;
 }
 
+TimeseriesFrame DiffSnapshots(const MetricsSnapshot& prev,
+                              const MetricsSnapshot& cur) {
+  TimeseriesFrame frame;
+  frame.points.reserve(cur.points.size());
+  // Both snapshots are name-ordered: one merge walk pairs each current point
+  // with its predecessor (absent predecessor = everything is new delta).
+  std::size_t j = 0;
+  for (const MetricPoint& point : cur.points) {
+    while (j < prev.points.size() && prev.points[j].name < point.name) ++j;
+    const MetricPoint* prev_point =
+        (j < prev.points.size() && prev.points[j].name == point.name &&
+         prev.points[j].type == point.type)
+            ? &prev.points[j]
+            : nullptr;
+
+    TimeseriesPoint out;
+    out.name = point.name;
+    out.type = point.type;
+    switch (point.type) {
+      case InstrumentType::kCounter: {
+        const std::int64_t prev_value =
+            prev_point != nullptr ? prev_point->value : 0;
+        // Registry counters are monotonic (deregistration folds into the
+        // retained total); clamp anyway so a rewound counter can never
+        // produce a negative rate.
+        out.value = point.value > prev_value ? point.value - prev_value : 0;
+        break;
+      }
+      case InstrumentType::kGauge:
+        out.value = point.value;
+        break;
+      case InstrumentType::kHistogram: {
+        for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
+          const std::uint64_t prev_count =
+              prev_point != nullptr ? prev_point->hist.buckets[b] : 0;
+          const std::uint64_t cur_count = point.hist.buckets[b];
+          if (cur_count > prev_count) {
+            const std::uint64_t delta = cur_count - prev_count;
+            out.hist_buckets.emplace_back(b, delta);
+            out.hist_count += delta;
+          }
+        }
+        const std::uint64_t prev_sum =
+            prev_point != nullptr ? prev_point->hist.sum : 0;
+        out.hist_sum = point.hist.sum > prev_sum ? point.hist.sum - prev_sum
+                                                 : 0;
+        break;
+      }
+    }
+    frame.points.push_back(std::move(out));
+  }
+  return frame;
+}
+
+MetricsSnapshot SnapshotFromFrame(const TimeseriesFrame& frame) {
+  MetricsSnapshot snapshot;
+  snapshot.points.reserve(frame.points.size());
+  for (const TimeseriesPoint& point : frame.points) {
+    MetricPoint out;
+    out.name = point.name;
+    out.type = point.type;
+    out.value = point.value;
+    if (point.type == InstrumentType::kHistogram) {
+      for (const auto& [index, count] : point.hist_buckets) {
+        out.hist.buckets[index] = count;
+      }
+      out.hist.count = point.hist_count;
+      out.hist.sum = point.hist_sum;
+      out.value = static_cast<std::int64_t>(out.hist.count);
+    }
+    snapshot.points.push_back(std::move(out));
+  }
+  return snapshot;
+}
+
 TimeseriesRing::TimeseriesRing(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -308,59 +383,10 @@ TimeseriesFrame TimeseriesCollector::SampleAt(std::uint64_t t_ns) {
   std::lock_guard<std::mutex> lock(sample_mutex_);
   MetricsSnapshot cur = registry_.Snapshot();
 
-  TimeseriesFrame frame;
+  TimeseriesFrame frame = DiffSnapshots(prev_, cur);
   frame.seq = next_seq_++;
   frame.t_ns = t_ns;
   frame.period_ns = t_ns > prev_t_ns_ ? t_ns - prev_t_ns_ : 0;
-  frame.points.reserve(cur.points.size());
-
-  // Both snapshots are name-ordered: one merge walk pairs each current point
-  // with its predecessor (absent predecessor = everything is new delta).
-  std::size_t j = 0;
-  for (const MetricPoint& point : cur.points) {
-    while (j < prev_.points.size() && prev_.points[j].name < point.name) ++j;
-    const MetricPoint* prev_point =
-        (j < prev_.points.size() && prev_.points[j].name == point.name &&
-         prev_.points[j].type == point.type)
-            ? &prev_.points[j]
-            : nullptr;
-
-    TimeseriesPoint out;
-    out.name = point.name;
-    out.type = point.type;
-    switch (point.type) {
-      case InstrumentType::kCounter: {
-        const std::int64_t prev_value =
-            prev_point != nullptr ? prev_point->value : 0;
-        // Registry counters are monotonic (deregistration folds into the
-        // retained total); clamp anyway so a rewound counter can never
-        // produce a negative rate.
-        out.value = point.value > prev_value ? point.value - prev_value : 0;
-        break;
-      }
-      case InstrumentType::kGauge:
-        out.value = point.value;
-        break;
-      case InstrumentType::kHistogram: {
-        for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
-          const std::uint64_t prev_count =
-              prev_point != nullptr ? prev_point->hist.buckets[b] : 0;
-          const std::uint64_t cur_count = point.hist.buckets[b];
-          if (cur_count > prev_count) {
-            const std::uint64_t delta = cur_count - prev_count;
-            out.hist_buckets.emplace_back(b, delta);
-            out.hist_count += delta;
-          }
-        }
-        const std::uint64_t prev_sum =
-            prev_point != nullptr ? prev_point->hist.sum : 0;
-        out.hist_sum = point.hist.sum > prev_sum ? point.hist.sum - prev_sum
-                                                 : 0;
-        break;
-      }
-    }
-    frame.points.push_back(std::move(out));
-  }
 
   prev_ = std::move(cur);
   prev_t_ns_ = t_ns;

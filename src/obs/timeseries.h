@@ -77,6 +77,19 @@ struct TimeseriesFrame {
 std::string EncodeTimeseriesFrame(const TimeseriesFrame& frame);
 core::StatusOr<TimeseriesFrame> DecodeTimeseriesFrame(std::string_view bytes);
 
+/// Diffs two name-ordered registry snapshots into a frame's points (seq and
+/// timestamps are left zero for the caller). Counters carry `cur - prev`
+/// (clamped at 0), gauges `cur`'s level, histograms the bucket-wise increase;
+/// a point absent from `prev` counts from zero. `DiffSnapshots({}, s)` is
+/// therefore the cumulative frame of `s` — the kGetStats payload.
+TimeseriesFrame DiffSnapshots(const MetricsSnapshot& prev,
+                              const MetricsSnapshot& cur);
+
+/// Inverse of `DiffSnapshots({}, s)`: rebuilds the snapshot a cumulative
+/// frame was taken from. A histogram point's value is its count. Units do
+/// not travel in frames, so every point's unit comes back empty.
+MetricsSnapshot SnapshotFromFrame(const TimeseriesFrame& frame);
+
 /// Fixed-capacity history of the most recent frames. Thread-safe: the
 /// collector thread pushes while scrape handlers read.
 class TimeseriesRing {

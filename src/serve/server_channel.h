@@ -11,6 +11,12 @@
 
 namespace vfl::serve {
 
+/// Stands up a concurrent PredictionServer over an existing two-party
+/// scenario (borrowing its parties and model; the scenario must outlive the
+/// server).
+std::unique_ptr<PredictionServer> MakeScenarioServer(
+    const fed::VflScenario& scenario, PredictionServerConfig config);
+
 /// Query channel backed by the concurrent PredictionServer: every fetch is
 /// realistic attack traffic through the batcher, helper threads, result cache,
 /// and query auditor. The channel registers one "adversary" client on the

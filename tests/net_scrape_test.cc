@@ -3,7 +3,9 @@
 // one hello, K well-formed predicts, one budget denial, J garbage frames —
 // and a kGetStats wire scrape must return counters that match the script
 // EXACTLY (accounting for the scrape's own frame in net.frames_in). Also
-// pins the layered counters (serve.*, auditor) and per-request trace lines.
+// pins the layered counters (serve.*, auditor), per-request trace lines, and
+// that the scraped snapshot equals the server registry's own, point for
+// point.
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -25,7 +27,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/adversary_client.h"
+#include "serve/server_channel.h"
 
 namespace vfl::net {
 namespace {
@@ -284,6 +286,76 @@ TEST_F(NetScrapeTest, PredictSpanExcludesClientIdleTime) {
   const std::map<std::string, std::uint64_t> stages = StagesOf(span);
   ASSERT_EQ(stages.count("read"), 1u) << span;
   EXPECT_LT(stages.at("read"), kIdleNs) << span;
+  std::uint64_t staged = 0;
+  for (const auto& [name, ns] : stages) staged += ns;
+  EXPECT_LE(staged, FieldOf(span, "\"total_ns\":")) << span;
+}
+
+TEST_F(NetScrapeTest, ScrapeEqualsTheServerRegistrySnapshot) {
+  Socket conn = Connect();
+  const std::uint64_t client_id = Handshake(conn);
+  for (std::size_t k = 0; k < kPredicts; ++k) {
+    Predict(conn, client_id, 2 + k);
+  }
+  AwaitLatencySamples("net.hello_ns", 1);
+  AwaitLatencySamples("net.predict_ns", kPredicts);
+
+  const core::StatusOr<obs::MetricsSnapshot> scraped =
+      ScrapeStats(server_->port());
+  ASSERT_TRUE(scraped.ok()) << scraped.status().ToString();
+  AwaitLatencySamples("net.stats_ns", 1);
+  const obs::MetricsSnapshot local = registry_.Snapshot();
+
+  // The server snapshots before answering, so the scrape's own response
+  // frame and latency sample are the only difference.
+  ASSERT_EQ(scraped->points.size(), local.points.size());
+  for (std::size_t i = 0; i < local.points.size(); ++i) {
+    const obs::MetricPoint& got = scraped->points[i];
+    const obs::MetricPoint& want = local.points[i];
+    ASSERT_EQ(got.name, want.name);
+    EXPECT_EQ(got.type, want.type) << want.name;
+    if (want.name == "net.frames_out") {
+      EXPECT_EQ(got.value + 1, want.value);
+      continue;
+    }
+    if (want.name == "net.stats_ns") {
+      EXPECT_EQ(got.hist.count, 0u);
+      EXPECT_EQ(want.hist.count, obs::kMetricsEnabled ? 1u : 0u);
+      continue;
+    }
+    EXPECT_EQ(got.value, want.value) << want.name;
+    EXPECT_EQ(got.hist.count, want.hist.count) << want.name;
+    EXPECT_EQ(got.hist.sum, want.hist.sum) << want.name;
+    EXPECT_EQ(got.hist.buckets, want.hist.buckets) << want.name;
+  }
+}
+
+TEST_F(NetScrapeTest, FailedTimeseriesReplyRecordsItsWriteStage) {
+  // The fixture wires no collector, so kGetTimeseries is answered with
+  // kFailedPrecondition. That reply is written like any other: its span has
+  // a write stage, and the stages never sum past total_ns.
+  Socket conn = Connect();
+  GetTimeseriesRequest request;
+  request.request_id = 9;
+  ASSERT_TRUE(conn.SendAll(EncodeGetTimeseries(request)).ok());
+  auto frame = conn.RecvFrame(kDefaultMaxFrameBytes);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  auto message = DecodeFrame(frame->data(), frame->size());
+  ASSERT_TRUE(message.ok()) << message.status().ToString();
+  const auto* failure = std::get_if<StatusResponse>(&*message);
+  ASSERT_NE(failure, nullptr);
+  EXPECT_EQ(failure->status.code(), StatusCode::kFailedPrecondition);
+  server_->Stop();  // joins the handlers, so every span has flushed
+
+  std::string span;
+  for (const std::string& line : trace_.lines()) {
+    if (line.find("\"kind\":\"get_timeseries\"") != std::string::npos) {
+      span = line;
+    }
+  }
+  ASSERT_FALSE(span.empty());
+  const std::map<std::string, std::uint64_t> stages = StagesOf(span);
+  EXPECT_EQ(stages.count("write"), 1u) << span;
   std::uint64_t staged = 0;
   for (const auto& [name, ns] : stages) staged += ns;
   EXPECT_LE(staged, FieldOf(span, "\"total_ns\":")) << span;

@@ -17,7 +17,7 @@
 #include "models/logistic_regression.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "serve/adversary_client.h"
+#include "serve/server_channel.h"
 
 namespace vfl::net {
 namespace {

@@ -20,7 +20,7 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "serve/adversary_client.h"
+#include "serve/server_channel.h"
 
 namespace vfl::net {
 namespace {

@@ -126,92 +126,16 @@ TEST(WireTest, GetStatsRoundTrip) {
   EXPECT_EQ(parsed->request_id, 21u);
 }
 
-TEST(WireTest, StatsOkRoundTripKeepsOpaquePayload) {
-  StatsOkResponse response;
-  response.request_id = 23;
-  // The payload is opaque to the wire layer: arbitrary bytes (including
-  // NUL and high-bit) must survive byte-exact.
-  response.payload = std::string("vflobs 1\ncounter x - 3\n\0\xff\x80", 23);
-  const auto decoded = DecodeWhole(EncodeStatsOk(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const auto* parsed = std::get_if<StatsOkResponse>(&*decoded);
-  ASSERT_NE(parsed, nullptr);
-  EXPECT_EQ(parsed->request_id, 23u);
-  EXPECT_EQ(parsed->payload, response.payload);
-}
-
-TEST(WireTest, StatsOkEmptyPayloadRoundTrips) {
-  StatsOkResponse response;
-  response.request_id = 1;
-  const auto decoded = DecodeWhole(EncodeStatsOk(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const auto* parsed = std::get_if<StatsOkResponse>(&*decoded);
-  ASSERT_NE(parsed, nullptr);
-  EXPECT_TRUE(parsed->payload.empty());
-}
-
-TEST(WireTest, TruncatedStatsFramesAreTypedErrors) {
-  StatsOkResponse response;
-  response.request_id = 5;
-  response.payload = "vflobs 1\ncounter a.b c 12\n";
-  const std::string frame = EncodeStatsOk(response);
-  const auto* payload =
-      reinterpret_cast<const std::uint8_t*>(frame.data()) + kLengthPrefixBytes;
-  const std::size_t payload_size = frame.size() - kLengthPrefixBytes;
-  for (std::size_t cut = 0; cut < payload_size; ++cut) {
-    const auto decoded = DecodeFrame(payload, cut);
-    ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
-    const StatusCode code = decoded.status().code();
-    EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
-                code == StatusCode::kOutOfRange)
-        << "cut=" << cut << ": " << decoded.status().ToString();
-  }
-}
-
-TEST(WireTest, StatsPayloadLengthThatExceedsFrameIsOutOfRange) {
-  StatsOkResponse response;
-  response.request_id = 5;
-  response.payload = "xy";
-  std::string frame = EncodeStatsOk(response);
-  // The payload-length field is the first body field after the fixed
-  // header; bump it far past the actual bytes — no huge allocation, a typed
-  // error instead.
-  const std::size_t len_offset = kLengthPrefixBytes + kPayloadHeaderBytes;
-  frame[len_offset] = static_cast<char>(0xff);
-  frame[len_offset + 1] = static_cast<char>(0xff);
-  frame[len_offset + 2] = static_cast<char>(0xff);
-  frame[len_offset + 3] = static_cast<char>(0x7f);
+TEST(WireTest, RetiredStatsReplyTypeIsAnUnknownType) {
+  // Type 7 carried the retired text-payload stats reply; kGetStats is now
+  // answered with kTimeseriesOk, and a type-7 frame is an unknown type.
+  GetStatsRequest request;
+  request.request_id = 21;
+  std::string frame = EncodeGetStats(request);
+  frame[kLengthPrefixBytes + 5] = 7;
   const auto decoded = DecodeWhole(frame);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(WireTest, MutatedStatsFramesNeverCrashTheDecoder) {
-  StatsOkResponse response;
-  response.request_id = 77;
-  response.payload = "vflobs 1\ncounter net.frames_in frames 120\n"
-                     "hist net.predict_ns ns 2 300 17:1 18:1\n";
-  const std::string frame = EncodeStatsOk(response);
-  core::Rng rng(777);
-  for (int iter = 0; iter < 5000; ++iter) {
-    std::string mutated = frame;
-    const std::size_t flips = 1 + rng.UniformInt(8);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t pos =
-          kLengthPrefixBytes +
-          rng.UniformInt(mutated.size() - kLengthPrefixBytes);
-      mutated[pos] = static_cast<char>(rng.UniformInt(256));
-    }
-    const auto decoded = DecodeFrame(
-        reinterpret_cast<const std::uint8_t*>(mutated.data()) +
-            kLengthPrefixBytes,
-        mutated.size() - kLengthPrefixBytes);
-    if (!decoded.ok()) {
-      const StatusCode code = decoded.status().code();
-      EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
-                  code == StatusCode::kOutOfRange);
-    }
-  }
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireTest, FrameLengthValidationRejectsExtremes) {

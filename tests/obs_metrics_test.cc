@@ -1,8 +1,8 @@
 // Observability-layer unit coverage: multithreaded exactness of the sharded
 // Counter / LatencyHistogram instruments, bucket-percentile math, snapshot
 // merge algebra (associative, order-independent), registry retention on
-// deregistration, the trace span JSONL emission, and the snapshot text codec
-// round-trip with decode validation on corrupted payloads.
+// deregistration, the trace span JSONL emission, and the snapshot round-trip
+// through a cumulative timeseries frame (the kGetStats wire payload).
 #include "obs/metrics.h"
 
 #include <cstdint>
@@ -14,7 +14,7 @@
 
 #include "core/rng.h"
 #include "obs/clock.h"
-#include "obs/snapshot_io.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace vfl::obs {
@@ -153,8 +153,9 @@ TEST(SnapshotMergeTest, MergeIsAssociativeAndOrderIndependent) {
     EXPECT_EQ(lat.sum, 550u + 5500u);
   }
   // Same points in the same (name-sorted) order: encodings agree.
-  EXPECT_EQ(EncodeSnapshot(left), EncodeSnapshot(right));
-  EXPECT_EQ(EncodeSnapshot(left), EncodeSnapshot(rev));
+  const std::string encoded = EncodeTimeseriesFrame(DiffSnapshots({}, left));
+  EXPECT_EQ(EncodeTimeseriesFrame(DiffSnapshots({}, right)), encoded);
+  EXPECT_EQ(EncodeTimeseriesFrame(DiffSnapshots({}, rev)), encoded);
 }
 
 TEST(RegistryTest, DeregistrationRetainsCounterAndHistogramTotals) {
@@ -199,7 +200,7 @@ TEST(RegistryTest, GetInstrumentsAreSharedByName) {
   EXPECT_EQ(registry.Snapshot().ValueOf("g.count"), 2);
 }
 
-TEST(SnapshotCodecTest, RoundTripPreservesEveryPoint) {
+TEST(SnapshotFrameTest, CumulativeFrameRoundTripRebuildsEveryPoint) {
   if (!kMetricsEnabled) GTEST_SKIP() << "built with VFLFIA_METRICS=OFF";
   MetricsRegistry registry;
   registry.GetCounter("net.frames_in", "frames")->Add(123);
@@ -209,50 +210,23 @@ TEST(SnapshotCodecTest, RoundTripPreservesEveryPoint) {
   for (int i = 0; i < 1000; ++i) lat->Record(rng.UniformInt(1u << 20));
 
   const MetricsSnapshot snapshot = registry.Snapshot();
-  const std::string encoded = EncodeSnapshot(snapshot);
-  const auto decoded = DecodeSnapshot(encoded);
+  const auto decoded =
+      DecodeTimeseriesFrame(EncodeTimeseriesFrame(DiffSnapshots({}, snapshot)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->points.size(), snapshot.points.size());
-  EXPECT_EQ(EncodeSnapshot(*decoded), encoded);
-  EXPECT_EQ(decoded->ValueOf("net.frames_in"), 123);
-  EXPECT_EQ(decoded->ValueOf("serve.queue_depth"), -4);
-  const HistogramSnapshot hist = decoded->HistogramOf("net.predict_ns");
-  EXPECT_EQ(hist.count, 1000u);
-  EXPECT_EQ(hist.Percentile(0.99),
-            snapshot.HistogramOf("net.predict_ns").Percentile(0.99));
-}
-
-TEST(SnapshotCodecTest, CorruptedPayloadsAreTypedErrorsNeverBogus) {
-  MetricsRegistry registry;
-  registry.GetCounter("a.b", "q")->Add(1);
-  registry.GetHistogram("a.lat", "ns")->Record(50);
-  const std::string good = EncodeSnapshot(registry.Snapshot());
-  EXPECT_TRUE(DecodeSnapshot(good).ok());
-
-  // Truncations at every byte boundary.
-  for (std::size_t cut = 0; cut < good.size(); ++cut) {
-    const auto decoded = DecodeSnapshot(good.substr(0, cut));
-    if (decoded.ok()) {
-      // A truncation that lands on a line boundary (the decoder tolerates a
-      // missing final newline) can decode; it must then re-encode to exactly
-      // the prefix it was, modulo that restored trailing newline — never to
-      // invented data.
-      const std::string reencoded = EncodeSnapshot(*decoded);
-      const std::string prefix = good.substr(0, cut);
-      EXPECT_TRUE(reencoded == prefix || reencoded == prefix + "\n")
-          << "cut=" << cut << " reencoded:\n"
-          << reencoded;
-    } else {
-      EXPECT_EQ(decoded.status().code(), core::StatusCode::kInvalidArgument);
-    }
+  const MetricsSnapshot rebuilt = SnapshotFromFrame(*decoded);
+  ASSERT_EQ(rebuilt.points.size(), snapshot.points.size());
+  for (std::size_t i = 0; i < snapshot.points.size(); ++i) {
+    const MetricPoint& want = snapshot.points[i];
+    const MetricPoint& got = rebuilt.points[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.type, want.type) << want.name;
+    EXPECT_EQ(got.value, want.value) << want.name;
+    EXPECT_EQ(got.hist.count, want.hist.count) << want.name;
+    EXPECT_EQ(got.hist.sum, want.hist.sum) << want.name;
+    EXPECT_EQ(got.hist.buckets, want.hist.buckets) << want.name;
   }
-  // Garbage and wrong headers.
-  EXPECT_FALSE(DecodeSnapshot("not a snapshot").ok());
-  EXPECT_FALSE(DecodeSnapshot("vflobs 2\n").ok());
-  EXPECT_FALSE(DecodeSnapshot("vflobs 1\nbogus line here\n").ok());
-  EXPECT_FALSE(DecodeSnapshot("vflobs 1\ncounter x q notanumber\n").ok());
-  // Histogram whose bucket total disagrees with its count.
-  EXPECT_FALSE(DecodeSnapshot("vflobs 1\nhist h ns 5 100 3:1\n").ok());
+  EXPECT_EQ(rebuilt.ValueOf("serve.queue_depth"), -4);
+  EXPECT_EQ(rebuilt.HistogramOf("net.predict_ns").count, 1000u);
 }
 
 TEST(TraceTest, SpanEmitsOneLineWithStagesAndAttrs) {

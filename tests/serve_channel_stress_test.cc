@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,14 +52,6 @@ class ServerChannelStressTest : public ::testing::Test {
     reference_ = scenario_.service->PredictAll();
   }
 
-  std::unique_ptr<PredictionServer> MakeServer(PredictionServerConfig config) {
-    return std::make_unique<PredictionServer>(
-        scenario_.model,
-        std::vector<const fed::Party*>{scenario_.adversary_party.get(),
-                                       scenario_.target_party.get()},
-        config);
-  }
-
   models::LogisticRegression lr_;
   la::Matrix x_;
   fed::FeatureSplit split_;
@@ -71,7 +64,7 @@ TEST_F(ServerChannelStressTest, ManyChannelsOneServer) {
   config.num_threads = 4;
   config.max_batch_size = 8;
   config.cache_capacity = 64;
-  std::unique_ptr<PredictionServer> server = MakeServer(config);
+  std::unique_ptr<PredictionServer> server = MakeScenarioServer(scenario_, config);
 
   constexpr std::size_t kChannels = 8;
   std::vector<std::unique_ptr<ServerChannel>> channels;
@@ -122,7 +115,7 @@ TEST_F(ServerChannelStressTest, ConcurrentBudgetDenialsStayTyped) {
   // Server-side default budget: enough for the partial pass, not the full
   // accumulation.
   config.auditor.default_query_budget = 48;
-  std::unique_ptr<PredictionServer> server = MakeServer(config);
+  std::unique_ptr<PredictionServer> server = MakeScenarioServer(scenario_, config);
 
   constexpr std::size_t kChannels = 8;
   std::vector<std::unique_ptr<ServerChannel>> channels;
@@ -153,6 +146,38 @@ TEST_F(ServerChannelStressTest, ConcurrentBudgetDenialsStayTyped) {
     core::StatusOr<la::Matrix> replay = channels[i]->Query({0, 47});
     EXPECT_TRUE(replay.ok()) << "channel " << i;
   }
+}
+
+TEST_F(ServerChannelStressTest, FloodLandsRowsInRequestOrderFirstDenialWins) {
+  PredictionServerConfig config;
+  config.num_threads = 2;
+  config.max_batch_size = 8;
+  std::unique_ptr<PredictionServer> server =
+      MakeScenarioServer(scenario_, config);
+  // No notebook: the scrambled, duplicated ids reach the server in request
+  // order, so each of the 4 chunks must land at its own row offset.
+  fed::ChannelOptions options;
+  options.accumulate = false;
+  ServerChannel flood(server.get(), scenario_.split, scenario_.x_adv,
+                      std::move(options), /*fetch_clients=*/4);
+  std::vector<std::size_t> ids;
+  for (std::size_t t = 0; t < 96; ++t) ids.push_back((t * 37) % 96);
+  ids.push_back(5);
+  core::StatusOr<la::Matrix> rows = flood.Query(ids);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  la::Matrix expected;
+  reference_.GatherRowsInto(ids, &expected);
+  EXPECT_TRUE(*rows == expected);
+
+  // A budget that covers some chunks but not all: the whole fetch fails with
+  // the typed denial and the caller receives nothing.
+  ServerChannel denied(server.get(), scenario_.split, scenario_.x_adv, {},
+                       /*fetch_clients=*/4);
+  server->SetQueryBudget(denied.client_id(), 30);
+  const core::StatusOr<la::Matrix> all = denied.QueryAll();
+  EXPECT_EQ(all.status().code(), StatusCode::kResourceExhausted)
+      << all.status().ToString();
+  EXPECT_EQ(denied.stats().queries_denied, 96u);
 }
 
 }  // namespace

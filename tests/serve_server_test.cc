@@ -13,11 +13,11 @@
 #include "fed/scenario.h"
 #include "la/matrix_ops.h"
 #include "models/logistic_regression.h"
-#include "serve/adversary_client.h"
 #include "serve/batcher.h"
 #include "serve/prediction_server.h"
 #include "serve/query_auditor.h"
 #include "serve/result_cache.h"
+#include "serve/server_channel.h"
 #include "serve/thread_pool.h"
 
 namespace vfl::serve {

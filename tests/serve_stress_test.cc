@@ -13,8 +13,8 @@
 #include "fed/feature_split.h"
 #include "fed/scenario.h"
 #include "models/mlp.h"
-#include "serve/adversary_client.h"
 #include "serve/prediction_server.h"
+#include "serve/server_channel.h"
 
 namespace vfl::serve {
 namespace {
