@@ -159,24 +159,23 @@ la::Matrix GenerativeRegressionNetworkAttack::InferWithGenerator(
       optimizer.ZeroGrad();
       // Lines 7-9: generate, assemble, predict.
       BuildGeneratorInputInto(x_adv_batch, d_target, rng, &gen_input);
-      const la::Matrix generated = generator.Forward(gen_input);
+      const la::Matrix& generated = generator.Forward(gen_input);
       view.split.CombineInto(x_adv_batch, generated, &assembled);
-      const la::Matrix simulated_v = model_->ForwardDiff(assembled);
 
       // Line 10: confidence loss; then back-propagate THROUGH the frozen
       // model to the assembled input and slice out the generated columns.
-      nn::MseLossInto(simulated_v, v_batch, &loss);
-      const la::Matrix grad_assembled = model_->BackwardToInput(loss.grad);
-      grad_assembled.GatherColsInto(view.split.target_columns(),
-                                    &grad_generated);
+      nn::MseLossInto(model_->ForwardDiff(assembled), v_batch, &loss);
+      model_->BackwardToInput(&loss.grad);
+      loss.grad.GatherColsInto(view.split.target_columns(), &grad_generated);
       if (config_.use_variance_constraint) {
         loss.value += VariancePenaltyValue(
             generated, config_.variance_lambda, config_.variance_tau);
         AddVariancePenaltyGradient(generated, config_.variance_lambda,
                                    config_.variance_tau, &grad_generated);
       }
-      // Line 11: update the generator only; the VFL model never steps.
-      generator.Backward(grad_generated);
+      // Line 11: update the generator only; the VFL model never steps. The
+      // gradient w.r.t. the generator's own input is never read.
+      generator.Backward(&grad_generated, nn::Grads::kParamsOnly);
       optimizer.Step();
       loss_sum += loss.value;
       ++num_batches;
@@ -231,14 +230,13 @@ la::Matrix GenerativeRegressionNetworkAttack::InferNaiveRegression(
       view.confidences.GatherRowsInto(rows, &v_batch);
       estimates.value.GatherRowsInto(rows, &assembled);
 
-      const la::Matrix simulated_v = model_->ForwardDiff(assembled);
-      nn::MseLossInto(simulated_v, v_batch, &loss);
-      const la::Matrix grad_assembled = model_->BackwardToInput(loss.grad);
+      nn::MseLossInto(model_->ForwardDiff(assembled), v_batch, &loss);
+      model_->BackwardToInput(&loss.grad);
 
       estimates.ZeroGrad();
       for (std::size_t i = 0; i < rows.size(); ++i) {
         for (std::size_t c = 0; c < d; ++c) {
-          estimates.grad(rows[i], c) = grad_assembled(i, c);
+          estimates.grad(rows[i], c) = loss.grad(i, c);
         }
       }
       optimizer.Step();

@@ -6,18 +6,19 @@
 
 namespace vfl::la {
 
-/// GEMM implementation tiers, ordered by preference. Runtime `cpuid`-based
+/// Kernel tiers (GEMM microkernels and the elementwise loops of
+/// la/elementwise.h), ordered by preference. Runtime `cpuid`-based
 /// detection picks the widest tier the host CPU (and this build) supports;
 /// the choice is overridable per process (VFLFIA_LA_KERNEL) or per call site
 /// (SetKernelPath) so tests exercise every tier on one machine. The values
 /// are what the `la.kernel_path` gauge publishes, so they stay fixed.
 enum class KernelPath {
   /// Packed BLIS-style microkernel in portable scalar C++ (4x8). Always
-  /// available; the floor every other tier falls back to. The strict
-  /// -std=c++20 build disables FMA contraction, so each output element is a
-  /// plain multiply-then-add chain: bit-identical across machines, and the
-  /// tier to force (VFLFIA_LA_KERNEL=generic) for cross-machine
-  /// reproducibility.
+  /// available; the floor every other tier falls back to. Its TU is built
+  /// with -ffp-contract=off (root CMakeLists.txt), so even under
+  /// -march=native each output element is a plain multiply-then-add chain:
+  /// bit-identical across machines, and the tier to force
+  /// (VFLFIA_LA_KERNEL=generic) for cross-machine reproducibility.
   kGeneric = 1,
   /// Explicit AVX2/FMA 6x8 register-blocked microkernel.
   kAvx2 = 2,
@@ -42,12 +43,13 @@ bool CpuSupportsKernelPath(KernelPath path);
 /// The widest supported tier — what "auto" resolves to.
 KernelPath DetectBestKernelPath();
 
-/// The tier the GEMM entry points dispatch to. Resolution order: the last
-/// SetKernelPath() override, else VFLFIA_LA_KERNEL (a tier name or "auto";
-/// unsupported/unknown values clamp down to the best supported tier), else
-/// DetectBestKernelPath(). Resolved once and cached (one relaxed atomic load
-/// per call after that); every resolution publishes the numeric tier to the
-/// process metrics registry as the `la.kernel_path` gauge.
+/// The tier the GEMM and elementwise entry points dispatch to. Resolution
+/// order: the last SetKernelPath() override, else VFLFIA_LA_KERNEL (a tier
+/// name or "auto"; unsupported/unknown values clamp down to the best
+/// supported tier), else DetectBestKernelPath(). Resolved once and cached
+/// (one relaxed atomic load per call after that); every resolution
+/// publishes the numeric tier to the process metrics registry as the
+/// `la.kernel_path` gauge.
 KernelPath ActiveKernelPath();
 
 /// Forces the dispatch tier (clamped down to a supported one; the clamp

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "la/cpu_features.h"
+#include "la/elementwise.h"
 #include "la/gemm_packed.h"
 #include "la/parallel.h"
 
@@ -209,13 +210,6 @@ Matrix AddRowBroadcast(const Matrix& m, const std::vector<double>& row) {
   Matrix out = m;
   AddRowBroadcastInPlace(&out, row.data());
   return out;
-}
-
-void AddRowBroadcastInPlace(Matrix* m, const double* row) {
-  for (std::size_t r = 0; r < m->rows(); ++r) {
-    double* dst = m->RowPtr(r);
-    for (std::size_t c = 0; c < m->cols(); ++c) dst[c] += row[c];
-  }
 }
 
 void Axpy(double scalar, const Matrix& b, Matrix* a) {

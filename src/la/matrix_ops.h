@@ -24,8 +24,9 @@ namespace vfl::la {
 /// or the row partition — so results are bit-identical for
 /// any thread count, and a row computed alone equals the same row inside any
 /// batch. The SIMD tiers contract multiply-adds with FMA, so their bits
-/// differ (within rounding) from each other and from `generic`, which has no
-/// FMA contraction and is the cross-machine reproducibility tier.
+/// differ (within rounding) from each other and from `generic`, whose TU is
+/// built with -ffp-contract=off (also under -march=native) and is the
+/// cross-machine reproducibility tier.
 
 /// out = a * b (shapes must agree: a.cols == b.rows). `out` must alias
 /// neither input.
@@ -71,9 +72,6 @@ Matrix Scale(const Matrix& m, double scalar);
 
 /// m with `row` (1 x m.cols) added to every row (broadcast add).
 Matrix AddRowBroadcast(const Matrix& m, const std::vector<double>& row);
-
-/// Adds `row` (width m->cols()) to every row of m in place.
-void AddRowBroadcastInPlace(Matrix* m, const double* row);
 
 /// In-place a += scalar * b.
 void Axpy(double scalar, const Matrix& b, Matrix* a);

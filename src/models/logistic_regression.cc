@@ -1,8 +1,10 @@
 #include "models/logistic_regression.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/rng.h"
+#include "la/elementwise.h"
 #include "la/matrix_ops.h"
 #include "nn/activation.h"
 #include "nn/loss.h"
@@ -84,27 +86,28 @@ la::Matrix LogisticRegression::PredictProba(const la::Matrix& x) const {
   return nn::SoftmaxRows(Logits(x));
 }
 
-la::Matrix LogisticRegression::ForwardDiff(const la::Matrix& x) {
-  cached_proba_ = PredictProba(x);
+const la::Matrix& LogisticRegression::ForwardDiff(const la::Matrix& x) {
+  CHECK_GT(weights_.size(), 0u) << "ForwardDiff before Fit";
+  LogitsInto(x, &cached_proba_);
+  nn::SoftmaxRowsInto(cached_proba_, &cached_proba_);
   return cached_proba_;
 }
 
-la::Matrix LogisticRegression::BackwardToInput(const la::Matrix& grad_proba) {
-  CHECK_EQ(grad_proba.rows(), cached_proba_.rows());
-  CHECK_EQ(grad_proba.cols(), cached_proba_.cols());
+void LogisticRegression::BackwardToInput(la::Matrix* grad) {
+  CHECK_EQ(grad->rows(), cached_proba_.rows());
+  CHECK_EQ(grad->cols(), cached_proba_.cols());
   // Softmax backward: dZ_k = s_k * (g_k - sum_j g_j s_j); then dX = dZ W^T.
-  la::Matrix grad_logits(grad_proba.rows(), grad_proba.cols());
-  for (std::size_t r = 0; r < grad_proba.rows(); ++r) {
+  for (std::size_t r = 0; r < grad->rows(); ++r) {
     const double* s = cached_proba_.RowPtr(r);
-    const double* g = grad_proba.RowPtr(r);
-    double* gz = grad_logits.RowPtr(r);
+    double* g = grad->RowPtr(r);
     double inner = 0.0;
-    for (std::size_t k = 0; k < grad_proba.cols(); ++k) inner += g[k] * s[k];
-    for (std::size_t k = 0; k < grad_proba.cols(); ++k) {
-      gz[k] = s[k] * (g[k] - inner);
+    for (std::size_t k = 0; k < grad->cols(); ++k) inner += g[k] * s[k];
+    for (std::size_t k = 0; k < grad->cols(); ++k) {
+      g[k] = s[k] * (g[k] - inner);
     }
   }
-  return la::MatMulTransposedB(grad_logits, weights_);
+  la::MatMulTransposedBInto(*grad, weights_, &grad_input_);
+  std::swap(*grad, grad_input_);
 }
 
 std::vector<double> LogisticRegression::BinaryEffectiveWeights() const {

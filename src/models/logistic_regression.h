@@ -42,8 +42,8 @@ class LogisticRegression : public DifferentiableModel {
     return std::make_unique<LogisticRegression>(*this);
   }
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& ForwardDiff(const la::Matrix& x) override;
+  void BackwardToInput(la::Matrix* grad) override;
 
   /// Per-class weight matrix theta, d x c (column k = theta^(k)).
   const la::Matrix& weights() const { return weights_; }
@@ -64,6 +64,7 @@ class LogisticRegression : public DifferentiableModel {
   std::vector<double> bias_;  // c
   // ForwardDiff caches.
   la::Matrix cached_proba_;
+  la::Matrix grad_input_;  // dX scratch, swapped into the caller's buffer
 };
 
 }  // namespace vfl::models

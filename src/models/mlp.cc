@@ -77,14 +77,15 @@ std::unique_ptr<Model> MlpClassifier::Clone() const {
   return clone;
 }
 
-la::Matrix MlpClassifier::ForwardDiff(const la::Matrix& x) {
+const la::Matrix& MlpClassifier::ForwardDiff(const la::Matrix& x) {
   CHECK(network_ != nullptr) << "ForwardDiff before Fit";
   return softmax_.Forward(network_->Forward(x));
 }
 
-la::Matrix MlpClassifier::BackwardToInput(const la::Matrix& grad_proba) {
+void MlpClassifier::BackwardToInput(la::Matrix* grad) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->Backward(softmax_.Backward(grad_proba));
+  softmax_.Backward(grad, nn::Grads::kInputOnly);
+  network_->Backward(grad, nn::Grads::kInputOnly);
 }
 
 }  // namespace vfl::models

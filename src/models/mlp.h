@@ -39,8 +39,8 @@ class MlpClassifier : public DifferentiableModel {
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& ForwardDiff(const la::Matrix& x) override;
+  void BackwardToInput(la::Matrix* grad) override;
 
   /// Rebuilds the inference network from explicit layer parameters — the
   /// serialization hand-over path (models/serialize.h). `weights[i]` is the

@@ -40,13 +40,15 @@ class Model {
 class DifferentiableModel : public Model {
  public:
   /// Forward pass that caches intermediate state for BackwardToInput.
-  /// Returns confidence scores like PredictProba.
-  virtual la::Matrix ForwardDiff(const la::Matrix& x) = 0;
+  /// Returns confidence scores like PredictProba, in a model-owned buffer
+  /// valid until the next ForwardDiff; `x` must outlive BackwardToInput.
+  virtual const la::Matrix& ForwardDiff(const la::Matrix& x) = 0;
 
-  /// Given dLoss/dConfidences from the preceding ForwardDiff call, returns
-  /// dLoss/dInput. Must not modify model parameters (the model is frozen
-  /// from the attacker's perspective).
-  virtual la::Matrix BackwardToInput(const la::Matrix& grad_proba) = 0;
+  /// `*grad` holds dLoss/dConfidences for the preceding ForwardDiff call and
+  /// is replaced, in place, by dLoss/dInput. Computes no parameter gradient
+  /// and modifies no parameter (the model is frozen from the attacker's
+  /// perspective).
+  virtual void BackwardToInput(la::Matrix* grad) = 0;
 };
 
 /// Arg-max class decision per row of a confidence matrix.

@@ -91,14 +91,14 @@ std::unique_ptr<Model> RfSurrogate::Clone() const {
   return clone;
 }
 
-la::Matrix RfSurrogate::ForwardDiff(const la::Matrix& x) {
+const la::Matrix& RfSurrogate::ForwardDiff(const la::Matrix& x) {
   CHECK(network_ != nullptr) << "ForwardDiff before Fit";
   return network_->Forward(x);
 }
 
-la::Matrix RfSurrogate::BackwardToInput(const la::Matrix& grad_proba) {
+void RfSurrogate::BackwardToInput(la::Matrix* grad) {
   CHECK(network_ != nullptr) << "BackwardToInput before ForwardDiff";
-  return network_->Backward(grad_proba);
+  network_->Backward(grad, nn::Grads::kInputOnly);
 }
 
 double RfSurrogate::FidelityMse(const Model& teacher,

@@ -71,8 +71,11 @@ class RfSurrogate : public DifferentiableModel {
   std::size_t num_classes() const override { return num_classes_; }
   std::unique_ptr<Model> Clone() const override;
 
-  la::Matrix ForwardDiff(const la::Matrix& x) override;
-  la::Matrix BackwardToInput(const la::Matrix& grad_proba) override;
+  const la::Matrix& ForwardDiff(const la::Matrix& x) override;
+  void BackwardToInput(la::Matrix* grad) override;
+
+  /// The distilled layer stack (null before Fit).
+  const nn::Sequential* network() const { return network_.get(); }
 
   /// Mean distillation loss per epoch from the last Fit.
   const std::vector<nn::EpochStats>& training_history() const {

@@ -1,7 +1,5 @@
 #include "nn/dropout.h"
 
-#include "la/matrix_ops.h"
-
 namespace vfl::nn {
 
 Dropout::Dropout(double rate, core::Rng& rng) : rate_(rate), rng_(rng.Fork()) {
@@ -9,24 +7,29 @@ Dropout::Dropout(double rate, core::Rng& rng) : rate_(rate), rng_(rng.Fork()) {
   CHECK_LT(rate, 1.0);
 }
 
-la::Matrix Dropout::Forward(const la::Matrix& input) {
-  if (!training_ || rate_ == 0.0) {
-    // Identity at inference; mark the mask as "all keep" so a Backward call
-    // in eval mode stays consistent.
-    cached_mask_ = la::Matrix(input.rows(), input.cols(), 1.0);
-    return input;
-  }
+const la::Matrix& Dropout::Forward(const la::Matrix& input) {
+  identity_ = !training_ || rate_ == 0.0;
+  if (identity_) return input;
   const double keep_scale = 1.0 / (1.0 - rate_);
-  cached_mask_ = la::Matrix(input.rows(), input.cols());
-  double* mask = cached_mask_.data();
-  for (std::size_t i = 0; i < cached_mask_.size(); ++i) {
+  mask_.Resize(input.rows(), input.cols());
+  output_.Resize(input.rows(), input.cols());
+  double* mask = mask_.data();
+  double* out = output_.data();
+  const double* in = input.data();
+  for (std::size_t i = 0; i < mask_.size(); ++i) {
     mask[i] = rng_.Bernoulli(rate_) ? 0.0 : keep_scale;
+    out[i] = in[i] * mask[i];
   }
-  return la::Hadamard(input, cached_mask_);
+  return output_;
 }
 
-la::Matrix Dropout::Backward(const la::Matrix& grad_output) {
-  return la::Hadamard(grad_output, cached_mask_);
+void Dropout::Backward(la::Matrix* grad, Grads grads) {
+  if (identity_ || !WantsInput(grads)) return;
+  CHECK_EQ(grad->rows(), mask_.rows());
+  CHECK_EQ(grad->cols(), mask_.cols());
+  double* g = grad->data();
+  const double* mask = mask_.data();
+  for (std::size_t i = 0; i < grad->size(); ++i) g[i] *= mask[i];
 }
 
 }  // namespace vfl::nn

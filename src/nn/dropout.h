@@ -20,13 +20,14 @@ class Dropout : public Module {
   /// stream.
   Dropout(double rate, core::Rng& rng);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  /// At inference (or rate 0) returns `input` itself: no copy.
+  const la::Matrix& Forward(const la::Matrix& input) override;
   /// At inference dropout is the identity, so the const path is trivially
   /// state-free.
   la::Matrix InferenceForward(const la::Matrix& input) const override {
     return input;
   }
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  void Backward(la::Matrix* grad, Grads grads) override;
   void SetTraining(bool training) override { training_ = training; }
   ModulePtr Clone() const override { return std::make_unique<Dropout>(*this); }
 
@@ -37,7 +38,9 @@ class Dropout : public Module {
   double rate_;
   core::Rng rng_;
   bool training_ = true;
-  la::Matrix cached_mask_;
+  bool identity_ = false;  // the last Forward passed its input through
+  la::Matrix mask_;
+  la::Matrix output_;
 };
 
 }  // namespace vfl::nn

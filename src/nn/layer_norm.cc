@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "la/elementwise.h"
+
 namespace vfl::nn {
 
 LayerNorm::LayerNorm(std::size_t features, double epsilon)
@@ -9,35 +11,11 @@ LayerNorm::LayerNorm(std::size_t features, double epsilon)
       bias_(la::Matrix(1, features)),
       epsilon_(epsilon) {}
 
-la::Matrix LayerNorm::Forward(const la::Matrix& input) {
+const la::Matrix& LayerNorm::Forward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), gain_.value.cols());
-  const std::size_t d = input.cols();
-  cached_normalized_ = la::Matrix(input.rows(), d);
-  cached_inv_stddev_.assign(input.rows(), 0.0);
-  la::Matrix out(input.rows(), d);
-  const double* g = gain_.value.RowPtr(0);
-  const double* b = bias_.value.RowPtr(0);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const double* x = input.RowPtr(r);
-    double mean = 0.0;
-    for (std::size_t c = 0; c < d; ++c) mean += x[c];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = x[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(d);
-    const double inv_stddev = 1.0 / std::sqrt(var + epsilon_);
-    cached_inv_stddev_[r] = inv_stddev;
-    double* norm = cached_normalized_.RowPtr(r);
-    double* o = out.RowPtr(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      norm[c] = (x[c] - mean) * inv_stddev;
-      o[c] = norm[c] * g[c] + b[c];
-    }
-  }
-  return out;
+  la::LayerNormForward(input, gain_.value.RowPtr(0), bias_.value.RowPtr(0),
+                       epsilon_, &normalized_, &inv_stddev_, &output_);
+  return output_;
 }
 
 la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
@@ -66,41 +44,17 @@ la::Matrix LayerNorm::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-la::Matrix LayerNorm::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_normalized_.rows());
-  CHECK_EQ(grad_output.cols(), cached_normalized_.cols());
-  const std::size_t d = grad_output.cols();
-  const double inv_d = 1.0 / static_cast<double>(d);
-  la::Matrix grad_input(grad_output.rows(), d);
-  const double* g = gain_.value.RowPtr(0);
-  double* gain_grad = gain_.grad.RowPtr(0);
-  double* bias_grad = bias_.grad.RowPtr(0);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const double* go = grad_output.RowPtr(r);
-    const double* norm = cached_normalized_.RowPtr(r);
-    double* gi = grad_input.RowPtr(r);
-    // Parameter gradients.
-    for (std::size_t c = 0; c < d; ++c) {
-      gain_grad[c] += go[c] * norm[c];
-      bias_grad[c] += go[c];
-    }
-    // Input gradient. With h = grad wrt normalized value (h = go * gain):
-    // dx = inv_stddev * (h - mean(h) - norm * mean(h * norm)).
-    double mean_h = 0.0, mean_h_norm = 0.0;
-    for (std::size_t c = 0; c < d; ++c) {
-      const double h = go[c] * g[c];
-      mean_h += h;
-      mean_h_norm += h * norm[c];
-    }
-    mean_h *= inv_d;
-    mean_h_norm *= inv_d;
-    const double inv_stddev = cached_inv_stddev_[r];
-    for (std::size_t c = 0; c < d; ++c) {
-      const double h = go[c] * g[c];
-      gi[c] = inv_stddev * (h - mean_h - norm[c] * mean_h_norm);
-    }
+void LayerNorm::Backward(la::Matrix* grad, Grads grads) {
+  CHECK_EQ(grad->rows(), normalized_.rows());
+  CHECK_EQ(grad->cols(), normalized_.cols());
+  if (WantsParams(grads)) {
+    la::AccumulateColDots(*grad, normalized_, gain_.grad.RowPtr(0));
+    la::AccumulateColSums(*grad, bias_.grad.RowPtr(0));
   }
-  return grad_input;
+  if (WantsInput(grads)) {
+    la::LayerNormBackwardInPlace(normalized_, inv_stddev_,
+                                 gain_.value.RowPtr(0), grad);
+  }
 }
 
 }  // namespace vfl::nn

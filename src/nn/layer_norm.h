@@ -13,9 +13,9 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t features, double epsilon = 1e-5);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  void Backward(la::Matrix* grad, Grads grads) override;
   std::vector<Parameter*> Parameters() override { return {&gain_, &bias_}; }
   ModulePtr Clone() const override {
     return std::make_unique<LayerNorm>(*this);
@@ -25,8 +25,9 @@ class LayerNorm : public Module {
   Parameter gain_;  // 1 x features, initialized to 1
   Parameter bias_;  // 1 x features, initialized to 0
   double epsilon_;
-  la::Matrix cached_normalized_;
-  std::vector<double> cached_inv_stddev_;  // per row
+  la::Matrix normalized_;
+  std::vector<double> inv_stddev_;  // per row
+  la::Matrix output_;
 };
 
 }  // namespace vfl::nn

@@ -1,7 +1,9 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <utility>
 
+#include "la/elementwise.h"
 #include "la/matrix_ops.h"
 
 namespace vfl::nn {
@@ -39,13 +41,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     : weight_(InitWeight(in_features, out_features, rng, init)),
       bias_(la::Matrix(1, out_features)) {}
 
-la::Matrix Linear::Forward(const la::Matrix& input) {
+const la::Matrix& Linear::Forward(const la::Matrix& input) {
   CHECK_EQ(input.cols(), in_features());
-  cached_input_ = input;  // reuses the member's capacity across batches
-  la::Matrix out;
-  la::MatMulInto(input, weight_.value, &out);
-  la::AddRowBroadcastInPlace(&out, bias_.value.RowPtr(0));
-  return out;
+  input_ = &input;
+  la::MatMulInto(input, weight_.value, &output_);
+  la::AddRowBroadcastInPlace(&output_, bias_.value.RowPtr(0));
+  return output_;
 }
 
 la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
@@ -56,25 +57,28 @@ la::Matrix Linear::InferenceForward(const la::Matrix& input) const {
   return out;
 }
 
-la::Matrix Linear::Backward(const la::Matrix& grad_output) {
-  CHECK_EQ(grad_output.rows(), cached_input_.rows());
-  CHECK_EQ(grad_output.cols(), out_features());
-  // dW += X^T * dY (fused accumulation, no temporary) ; db += column sums of
-  // dY ; dX = dY * W^T.
-  la::MatMulTransposedAInto(cached_input_, grad_output, &weight_.grad,
-                            /*accumulate=*/true);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const double* row = grad_output.RowPtr(r);
-    double* bias_grad = bias_.grad.RowPtr(0);
-    for (std::size_t c = 0; c < grad_output.cols(); ++c) {
-      bias_grad[c] += row[c];
-    }
+void Linear::Backward(la::Matrix* grad, Grads grads) {
+  CHECK_EQ(grad->cols(), out_features());
+  if (WantsParams(grads)) {
+    CHECK(input_ != nullptr) << "Linear::Backward before Forward";
+    CHECK_EQ(grad->rows(), input_->rows());
+    // dW += X^T * dY (fused accumulation, no temporary); db += column sums
+    // of dY.
+    la::MatMulTransposedAInto(*input_, *grad, &weight_.grad,
+                              /*accumulate=*/true);
+    la::AccumulateColSums(*grad, bias_.grad.RowPtr(0));
   }
-  la::Matrix grad_input;
-  la::MatMulTransposedBInto(grad_output, weight_.value, &grad_input);
-  return grad_input;
+  if (WantsInput(grads)) {
+    // dX = dY * W^T.
+    la::MatMulTransposedBInto(*grad, weight_.value, &grad_input_);
+    std::swap(*grad, grad_input_);
+  }
 }
 
-ModulePtr Linear::Clone() const { return std::make_unique<Linear>(*this); }
+ModulePtr Linear::Clone() const {
+  auto clone = std::make_unique<Linear>(*this);
+  clone->input_ = nullptr;  // the clone has not seen this layer's input
+  return clone;
+}
 
 }  // namespace vfl::nn

@@ -24,9 +24,9 @@ class Linear : public Module {
   Linear(std::size_t in_features, std::size_t out_features, core::Rng& rng,
          Init init = Init::kXavier);
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  void Backward(la::Matrix* grad, Grads grads) override;
   std::vector<Parameter*> Parameters() override { return {&weight_, &bias_}; }
   ModulePtr Clone() const override;
 
@@ -41,7 +41,9 @@ class Linear : public Module {
  private:
   Parameter weight_;
   Parameter bias_;  // 1 x out_features
-  la::Matrix cached_input_;
+  const la::Matrix* input_ = nullptr;  // the last Forward's input (for dW)
+  la::Matrix output_;
+  la::Matrix grad_input_;  // dX scratch, swapped into the caller's buffer
 };
 
 }  // namespace vfl::nn

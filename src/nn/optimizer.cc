@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "la/elementwise.h"
+
 namespace vfl::nn {
 
 Sgd::Sgd(std::vector<Parameter*> params, double learning_rate, double momentum,
@@ -48,22 +50,13 @@ Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
 
 void Adam::Step() {
   ++step_count_;
-  const double bias1 = 1.0 - std::pow(beta1_, step_count_);
-  const double bias2 = 1.0 - std::pow(beta2_, step_count_);
+  const la::AdamCoefficients coeffs{
+      learning_rate_, beta1_, beta2_, epsilon_, weight_decay_,
+      1.0 - std::pow(beta1_, step_count_), 1.0 - std::pow(beta2_, step_count_)};
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter* p = params_[i];
-    double* value = p->value.data();
-    const double* grad = p->grad.data();
-    double* m = first_moment_[i].data();
-    double* v = second_moment_[i].data();
-    for (std::size_t j = 0; j < p->value.size(); ++j) {
-      const double g = grad[j] + weight_decay_ * value[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      value[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-    }
+    la::AdamUpdate(coeffs, p->grad, &first_moment_[i], &second_moment_[i],
+                   &p->value);
   }
 }
 

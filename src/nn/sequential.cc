@@ -2,12 +2,12 @@
 
 namespace vfl::nn {
 
-la::Matrix Sequential::Forward(const la::Matrix& input) {
-  la::Matrix activation = input;
+const la::Matrix& Sequential::Forward(const la::Matrix& input) {
+  const la::Matrix* activation = &input;
   for (const ModulePtr& layer : layers_) {
-    activation = layer->Forward(activation);
+    activation = &layer->Forward(*activation);
   }
-  return activation;
+  return *activation;
 }
 
 la::Matrix Sequential::InferenceForward(const la::Matrix& input) const {
@@ -18,12 +18,12 @@ la::Matrix Sequential::InferenceForward(const la::Matrix& input) const {
   return activation;
 }
 
-la::Matrix Sequential::Backward(const la::Matrix& grad_output) {
-  la::Matrix grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
+void Sequential::Backward(la::Matrix* grad, Grads grads) {
+  const Grads inner =
+      WantsParams(grads) ? Grads::kParamsAndInput : Grads::kInputOnly;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    layers_[i]->Backward(grad, i == 0 ? grads : inner);
   }
-  return grad;
 }
 
 std::vector<Parameter*> Sequential::Parameters() {

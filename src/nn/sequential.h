@@ -27,9 +27,12 @@ class Sequential : public Module {
   /// Appends an already-built layer.
   void Append(ModulePtr layer) { layers_.push_back(std::move(layer)); }
 
-  la::Matrix Forward(const la::Matrix& input) override;
+  /// Returns the last layer's output buffer (`input` for no layers).
+  const la::Matrix& Forward(const la::Matrix& input) override;
   la::Matrix InferenceForward(const la::Matrix& input) const override;
-  la::Matrix Backward(const la::Matrix& grad_output) override;
+  /// `grads` applies to the first layer; every later layer also hands its
+  /// input gradient down to the layer before it.
+  void Backward(la::Matrix* grad, Grads grads) override;
   std::vector<Parameter*> Parameters() override;
   void SetTraining(bool training) override;
   ModulePtr Clone() const override;

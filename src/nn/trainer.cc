@@ -54,9 +54,9 @@ std::vector<EpochStats> RunTraining(
       batch_rows.assign(order.begin() + begin, order.begin() + end);
       x.GatherRowsInto(batch_rows, &batch_x);
       optimizer->ZeroGrad();
-      const la::Matrix output = network.Forward(batch_x);
-      compute_loss(output, batch_rows, &loss);
-      network.Backward(loss.grad);
+      compute_loss(network.Forward(batch_x), batch_rows, &loss);
+      // Nobody reads the input gradient of the first layer.
+      network.Backward(&loss.grad, Grads::kParamsOnly);
       optimizer->Step();
       loss_sum += loss.value;
       ++num_batches;
@@ -65,6 +65,9 @@ std::vector<EpochStats> RunTraining(
     history.push_back(stats);
     if (on_epoch) on_epoch(stats);
   }
+  // A trained network starts out frozen-clean: no stale gradient of the
+  // last batch survives into later use.
+  optimizer->ZeroGrad();
   network.SetTraining(false);
   return history;
 }
@@ -111,7 +114,7 @@ namespace {
 
 double ProbeLoss(Module& module, const la::Matrix& input,
                  const la::Matrix& probe) {
-  const la::Matrix output = module.Forward(input);
+  const la::Matrix& output = module.Forward(input);
   CHECK_EQ(output.rows(), probe.rows());
   CHECK_EQ(output.cols(), probe.cols());
   return la::Sum(la::Hadamard(output, probe));
@@ -123,7 +126,8 @@ double GradientCheckInput(Module& module, const la::Matrix& input,
                           const la::Matrix& probe, double step) {
   // Analytic gradient: dL/dInput with dL/dOutput = probe.
   module.Forward(input);
-  const la::Matrix analytic = module.Backward(probe);
+  la::Matrix analytic = probe;
+  module.Backward(&analytic, Grads::kParamsAndInput);
   double max_err = 0.0;
   la::Matrix perturbed = input;
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -143,7 +147,8 @@ double GradientCheckParameters(Module& module, const la::Matrix& input,
                                const la::Matrix& probe, double step) {
   module.ZeroGrad();
   module.Forward(input);
-  module.Backward(probe);
+  la::Matrix grad = probe;
+  module.Backward(&grad, Grads::kParamsAndInput);
   // Snapshot the analytic parameter gradients before the finite differences
   // overwrite the caches.
   std::vector<la::Matrix> analytic;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "core/check.h"
 
@@ -216,16 +215,6 @@ void QueryAuditor::LogEventLocked(std::uint64_t client_id,
   while (events_.size() >= config_.max_audit_events) {
     events_.pop_front();
     dropped_total_.Add();
-    if (!overflow_warned_) {
-      overflow_warned_ = true;
-      std::fprintf(
-          stderr,
-          "[vfl] warning: query-auditor audit-event ring overflowed "
-          "(max_audit_events=%zu); oldest events are being dropped — see "
-          "serve.auditor.dropped_events, or attach a store::AuditLogWriter "
-          "for a lossless durable trail\n",
-          config_.max_audit_events);
-    }
   }
   AuditEvent record;
   record.seq = next_event_seq_++;

@@ -307,9 +307,6 @@ class QueryAuditor {
   /// Capped ring buffer of recent events (deque: pop-front eviction).
   std::deque<AuditEvent> events_;
   std::uint64_t next_event_seq_ = 1;
-  /// One-time stderr warning on the first ring overflow: silent audit loss
-  /// is only acceptable when somebody asked for it by reading this flag.
-  bool overflow_warned_ = false;
 };
 
 }  // namespace vfl::serve

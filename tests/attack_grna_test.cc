@@ -1,5 +1,6 @@
 #include "attack/grna.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,9 @@
 #include "la/matrix_ops.h"
 #include "models/logistic_regression.h"
 #include "models/mlp.h"
+#include "models/random_forest.h"
+#include "models/rf_surrogate.h"
+#include "nn/linear.h"
 
 namespace vfl::attack {
 namespace {
@@ -148,6 +152,57 @@ TEST_F(GrnaFixture, DoesNotModifyTheFrozenModel) {
   GenerativeRegressionNetworkAttack grna(&lr_, SmallConfig());
   grna.Infer(view_);
   EXPECT_TRUE(lr_.weights() == weights_before);
+}
+
+/// Largest |grad| over every Linear parameter of a trained layer stack.
+double MaxAbsParameterGrad(const nn::Sequential& network) {
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < network.num_layers(); ++i) {
+    const auto* linear = dynamic_cast<const nn::Linear*>(network.layer(i));
+    if (linear == nullptr) continue;
+    for (const nn::Parameter* p : {&linear->weight(), &linear->bias()}) {
+      for (std::size_t j = 0; j < p->grad.size(); ++j) {
+        max_abs = std::max(max_abs, std::abs(p->grad.data()[j]));
+      }
+    }
+  }
+  return max_abs;
+}
+
+TEST_F(GrnaFixture, FrozenModelGradientsStayZero) {
+  // GRNA back-propagates through the frozen model for its input gradient
+  // only: no parameter gradient of the model is computed or accumulated,
+  // for the generator and for the naive-regression ablation alike.
+  models::MlpClassifier mlp;
+  models::MlpConfig mlp_config;
+  mlp_config.hidden_sizes = {16, 8};
+  mlp_config.train.epochs = 3;
+  mlp.Fit(dataset_, mlp_config);
+  ASSERT_EQ(MaxAbsParameterGrad(*mlp.network()), 0.0);
+
+  models::RandomForest forest;
+  models::RfConfig rf_config;
+  rf_config.num_trees = 5;
+  forest.Fit(dataset_, rf_config);
+  models::RfSurrogate surrogate;
+  models::SurrogateConfig s_config;
+  s_config.num_dummy_samples = 400;
+  s_config.hidden_sizes = {16};
+  s_config.train.epochs = 2;
+  surrogate.Fit(forest, s_config);
+  ASSERT_EQ(MaxAbsParameterGrad(*surrogate.network()), 0.0);
+
+  GrnaConfig config = SmallConfig();
+  config.train.epochs = 2;
+  for (const bool use_generator : {true, false}) {
+    config.use_generator = use_generator;
+    GenerativeRegressionNetworkAttack on_mlp(&mlp, config);
+    on_mlp.Infer(view_);
+    GenerativeRegressionNetworkAttack on_surrogate(&surrogate, config);
+    on_surrogate.Infer(view_);
+  }
+  EXPECT_EQ(MaxAbsParameterGrad(*mlp.network()), 0.0);
+  EXPECT_EQ(MaxAbsParameterGrad(*surrogate.network()), 0.0);
 }
 
 TEST_F(GrnaFixture, DeterministicGivenSeed) {

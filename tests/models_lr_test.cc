@@ -117,7 +117,8 @@ TEST(LogisticRegressionTest, InputGradientMatchesFiniteDifference) {
   la::Matrix probe{{1.0, -0.5, 0.25}};
 
   lr.ForwardDiff(x);
-  const la::Matrix analytic = lr.BackwardToInput(probe);
+  la::Matrix analytic = probe;
+  lr.BackwardToInput(&analytic);
 
   const double step = 1e-6;
   for (std::size_t j = 0; j < 2; ++j) {

@@ -83,7 +83,8 @@ TEST(MlpClassifierTest, InputGradientMatchesFiniteDifference) {
   probe(0, 2) = 0.5;
 
   mlp.ForwardDiff(x);
-  const la::Matrix analytic = mlp.BackwardToInput(probe);
+  la::Matrix analytic = probe;
+  mlp.BackwardToInput(&analytic);
   const double step = 1e-6;
   for (std::size_t j = 0; j < x.cols(); ++j) {
     la::Matrix perturbed = x;

@@ -316,9 +316,9 @@ TEST(RfSurrogateTest, GradientFlowsToInput) {
   config.train.epochs = 5;
   surrogate.Fit(forest, config);
   const la::Matrix x = d.x.SliceRows(0, 4);
-  const la::Matrix probs = surrogate.ForwardDiff(x);
-  const la::Matrix grad =
-      surrogate.BackwardToInput(la::Matrix(probs.rows(), probs.cols(), 1.0));
+  const la::Matrix& probs = surrogate.ForwardDiff(x);
+  la::Matrix grad(probs.rows(), probs.cols(), 1.0);
+  surrogate.BackwardToInput(&grad);
   EXPECT_EQ(grad.rows(), x.rows());
   EXPECT_EQ(grad.cols(), x.cols());
 }

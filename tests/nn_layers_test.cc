@@ -55,11 +55,50 @@ TEST(LinearTest, ParametersExposesWeightAndBias) {
 TEST(LinearTest, ZeroGradClearsAccumulation) {
   core::Rng rng(4);
   Linear layer(2, 2, rng);
-  layer.Forward(RandomMatrix(3, 2, 5));
-  layer.Backward(RandomMatrix(3, 2, 6));
+  const la::Matrix input = RandomMatrix(3, 2, 5);
+  layer.Forward(input);
+  la::Matrix grad = RandomMatrix(3, 2, 6);
+  layer.Backward(&grad, Grads::kParamsAndInput);
   EXPECT_GT(la::FrobeniusNorm(layer.weight().grad), 0.0);
   layer.ZeroGrad();
   EXPECT_EQ(la::FrobeniusNorm(layer.weight().grad), 0.0);
+}
+
+TEST(LinearTest, ParamsOnlyBackwardGivesTheFullBackwardsParameterBits) {
+  core::Rng rng(16);
+  Linear full(5, 4, rng);
+  Linear params_only = full;
+  const la::Matrix input = RandomMatrix(7, 5, 17);
+  la::Matrix full_grad = RandomMatrix(7, 4, 18);
+  la::Matrix params_grad = full_grad;
+  full.Forward(input);
+  full.Backward(&full_grad, Grads::kParamsAndInput);
+  params_only.Forward(input);
+  params_only.Backward(&params_grad, Grads::kParamsOnly);
+  EXPECT_TRUE(params_only.weight().grad == full.weight().grad);
+  EXPECT_TRUE(params_only.bias().grad == full.bias().grad);
+}
+
+TEST(SequentialTest, InputOnlyBackwardGivesTheInputGradientAndNoParamGrads) {
+  core::Rng rng(19);
+  Sequential full;
+  full.Emplace<Linear>(5, 6, rng);
+  full.Emplace<Relu>();
+  full.Emplace<LayerNorm>(6);
+  full.Emplace<Linear>(6, 3, rng);
+  full.Emplace<Sigmoid>();
+  ModulePtr frozen = full.Clone();
+  const la::Matrix input = RandomMatrix(4, 5, 20);
+  la::Matrix full_grad = RandomMatrix(4, 3, 21);
+  la::Matrix input_grad = full_grad;
+  full.Forward(input);
+  full.Backward(&full_grad, Grads::kParamsAndInput);
+  frozen->Forward(input);
+  frozen->Backward(&input_grad, Grads::kInputOnly);
+  EXPECT_TRUE(input_grad == full_grad);
+  for (const Parameter* p : frozen->Parameters()) {
+    EXPECT_EQ(la::FrobeniusNorm(p->grad), 0.0);
+  }
 }
 
 TEST(SigmoidScalarTest, StableAtExtremes) {
@@ -138,7 +177,8 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   core::Rng rng(12);
   Dropout dropout(0.5, rng);
   const la::Matrix out = dropout.Forward(la::Matrix(5, 5, 1.0));
-  const la::Matrix grad = dropout.Backward(la::Matrix(5, 5, 1.0));
+  la::Matrix grad(5, 5, 1.0);
+  dropout.Backward(&grad, Grads::kInputOnly);
   EXPECT_TRUE(grad == out);  // identical mask and scaling
 }
 

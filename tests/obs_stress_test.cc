@@ -6,6 +6,7 @@
 // the assertions pin exactness once writers quiesce.
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,7 +30,9 @@ TEST(ObsStressTest, AuditorCountersSnapshotNeverBlocksAdmission) {
   std::vector<std::uint64_t> client_ids;
   client_ids.reserve(kWriters);
   for (std::size_t w = 0; w < kWriters; ++w) {
-    client_ids.push_back(auditor.RegisterClient("w" + std::to_string(w)));
+    std::string name = "w";
+    name += std::to_string(w);
+    client_ids.push_back(auditor.RegisterClient(name));
   }
 
   std::atomic<bool> stop{false};
