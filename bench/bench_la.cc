@@ -7,16 +7,18 @@
 //   la_gemm_<n>_naive    — the naive reference
 //   la_gemm_<n>_matmul   — the frozen blocked reference (pre-SIMD MatMul)
 //   la_gemm_<n>_kernel*  — dispatched packed microkernels
+//   la_gemm_train_<op>   — the small products the fig7 grid's training loops
+//                          run (surrogate and generator layers), in GFLOP/s
 //   la_kernel_path       — numeric dispatch tier the packed path resolved to
 //
 // Usage:
 //   bench_la [--smoke] [--threads=N] [--json=PATH] [--assert-speedup=X]
 //
 // --smoke shrinks sizes/repetitions to CI scale and doubles as a Release
-// (-O3 -DNDEBUG) correctness gate: every timed kernel result — on every
-// dispatch path the host supports — is checked against the naive reference
-// and any mismatch exits non-zero, so UB that only bites with optimizations
-// on shows up here, not in production runs.
+// (-O3 -DNDEBUG) correctness gate: every timed kernel result — square and
+// training shapes, on every dispatch path the host supports — is checked
+// against the naive reference and any mismatch exits non-zero, so UB that
+// only bites with optimizations on shows up here, not in production runs.
 //
 // --assert-speedup=X exits non-zero unless the packed microkernels beat the
 // blocked reference by at least X (geometric mean over the MatMul ratios at
@@ -278,6 +280,83 @@ SizeResult BenchGemmSize(std::size_t n, std::size_t reps, bool smoke,
   return {n, blocked_gflops, kernel.mm};
 }
 
+/// One product of the training loops at CI ("small") scale: the RF
+/// surrogate's first layer on drive (128-row batches, 48 features, 128
+/// hidden units) forward, weight gradient X^T*dY and input gradient dY*W^T,
+/// and the GRNA generator's 64-row layers (48 -> 64 -> 32 -> 24 target
+/// features at a 50% split).
+struct TrainShape {
+  const char* name;
+  std::size_t m, k, n;  // op_a(A) is m x k, op_b(B) is k x n
+  bool trans_a;
+  bool trans_b;
+};
+constexpr TrainShape kTrainShapes[] = {
+    {"surrogate_fwd", 128, 48, 128, false, false},
+    {"surrogate_xtdy", 48, 128, 128, true, false},
+    {"surrogate_dywt", 128, 128, 48, false, true},
+    {"gen_l1_fwd", 64, 48, 64, false, false},
+    {"gen_l2_fwd", 64, 64, 32, false, false},
+    {"gen_out_fwd", 64, 32, 24, false, false},
+};
+
+/// Runs one training-shape product through its public entry point.
+void RunTrainShape(const TrainShape& s, const Matrix& a, const Matrix& b,
+                   Matrix* out) {
+  if (s.trans_a) {
+    vfl::la::MatMulTransposedAInto(a, b, out);
+  } else if (s.trans_b) {
+    vfl::la::MatMulTransposedBInto(a, b, out);
+  } else {
+    vfl::la::MatMulInto(a, b, out);
+  }
+}
+
+/// Times every training shape on the active tier (best of `reps` batches of
+/// back-to-back calls, since one call takes microseconds), checks each
+/// result against the naive reference on every supported tier, and records
+/// `la_gemm_train_<name>`.
+void BenchTrainShapes(std::size_t reps, bool smoke,
+                      vfl::exp::BenchJsonSink& sink) {
+  constexpr std::size_t kCallsPerRep = 200;
+  std::printf("training shapes (m x k x n)          GFLOP/s\n");
+  vfl::core::Rng rng(99);
+  for (const TrainShape& s : kTrainShapes) {
+    const Matrix a = s.trans_a ? RandomMatrix(s.k, s.m, rng)
+                               : RandomMatrix(s.m, s.k, rng);
+    const Matrix b = s.trans_b ? RandomMatrix(s.n, s.k, rng)
+                               : RandomMatrix(s.k, s.n, rng);
+    const Matrix want =
+        NaiveMatMul(s.trans_a ? vfl::la::Transpose(a) : a,
+                    s.trans_b ? vfl::la::Transpose(b) : b);
+    Matrix out;
+    const double seconds = BestSeconds(reps, [&] {
+      for (std::size_t c = 0; c < kCallsPerRep; ++c) RunTrainShape(s, a, b, &out);
+    });
+    char what[96];
+    std::snprintf(what, sizeof(what), "train %s[%s]", s.name,
+                  vfl::la::KernelPathName(vfl::la::ActiveKernelPath()).data());
+    CheckClose(out, want, what);
+    if (smoke) {
+      for (const KernelPath path : {KernelPath::kGeneric, KernelPath::kAvx2,
+                                    KernelPath::kAvx512}) {
+        if (!vfl::la::CpuSupportsKernelPath(path)) continue;
+        vfl::la::SetKernelPath(path);
+        RunTrainShape(s, a, b, &out);
+        std::snprintf(what, sizeof(what), "train %s[%s]", s.name,
+                      vfl::la::KernelPathName(path).data());
+        CheckClose(out, want, what);
+      }
+      vfl::la::ResetKernelPathToAuto();
+    }
+    const double gflops = 2.0 * static_cast<double>(s.m * s.k * s.n) *
+                          kCallsPerRep / seconds / 1e9;
+    std::printf("  %-16s %4zu x %3zu x %3zu  %9.3f\n", s.name, s.m, s.k, s.n,
+                gflops);
+    sink.Record(std::string("la_gemm_train_") + s.name, gflops, "gflops");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -317,6 +396,7 @@ int main(int argc, char** argv) {
   for (const std::size_t n : sizes) {
     results.push_back(BenchGemmSize(n, reps, options.smoke, sink));
   }
+  BenchTrainShapes(reps, options.smoke, sink);
   sink.Record("la_kernel_path", static_cast<double>(auto_path), "tier");
 
   if (failed) {

@@ -13,12 +13,12 @@ namespace vfl::la {
 /// (SetKernelPath) so tests exercise every tier on one machine. The values
 /// are what the `la.kernel_path` gauge publishes, so they stay fixed.
 enum class KernelPath {
-  /// Packed BLIS-style microkernel in portable scalar C++ (4x8). Always
-  /// available; the floor every other tier falls back to. Its TU is built
-  /// with -ffp-contract=off (root CMakeLists.txt), so even under
-  /// -march=native each output element is a plain multiply-then-add chain:
-  /// bit-identical across machines, and the tier to force
-  /// (VFLFIA_LA_KERNEL=generic) for cross-machine reproducibility.
+  /// BLIS-style microkernel in portable C++ (4x8, two-lane GCC/Clang vector
+  /// extension). Always available; the floor every other tier falls back
+  /// to. Its TU is built with -ffp-contract=off (root CMakeLists.txt), so
+  /// even under -march=native each output element is a plain
+  /// multiply-then-add chain: bit-identical across machines, and the tier
+  /// to force (VFLFIA_LA_KERNEL=generic) for cross-machine reproducibility.
   kGeneric = 1,
   /// Explicit AVX2/FMA 6x8 register-blocked microkernel.
   kAvx2 = 2,

@@ -19,7 +19,8 @@ namespace {
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 8;
 
-void Avx2Kernel6x8(std::size_t kc, const double* ap, const double* bp,
+void Avx2Kernel6x8(std::size_t kc, const double* a, std::size_t rs_a,
+                   std::size_t cs_a, const double* b, std::size_t rs_b,
                    double* c, std::size_t ldc, bool accumulate) {
   __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
@@ -28,35 +29,41 @@ void Avx2Kernel6x8(std::size_t kc, const double* ap, const double* bp,
   __m256d c40 = _mm256_setzero_pd(), c41 = _mm256_setzero_pd();
   __m256d c50 = _mm256_setzero_pd(), c51 = _mm256_setzero_pd();
 
+  // Row i of the A panel at p is a[i*rs_a + p*cs_a]: one base pointer per
+  // row, indexed by p*cs_a. B rows load unaligned.
+  const double* a0 = a;
+  const double* a1 = a0 + rs_a;
+  const double* a2 = a1 + rs_a;
+  const double* a3 = a2 + rs_a;
+  const double* a4 = a3 + rs_a;
+  const double* a5 = a4 + rs_a;
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_load_pd(bp);
-    const __m256d b1 = _mm256_load_pd(bp + 4);
-    __m256d a;
-    a = _mm256_broadcast_sd(ap + 0);
-    c00 = _mm256_fmadd_pd(a, b0, c00);
-    c01 = _mm256_fmadd_pd(a, b1, c01);
-    a = _mm256_broadcast_sd(ap + 1);
-    c10 = _mm256_fmadd_pd(a, b0, c10);
-    c11 = _mm256_fmadd_pd(a, b1, c11);
-    a = _mm256_broadcast_sd(ap + 2);
-    c20 = _mm256_fmadd_pd(a, b0, c20);
-    c21 = _mm256_fmadd_pd(a, b1, c21);
-    a = _mm256_broadcast_sd(ap + 3);
-    c30 = _mm256_fmadd_pd(a, b0, c30);
-    c31 = _mm256_fmadd_pd(a, b1, c31);
-    a = _mm256_broadcast_sd(ap + 4);
-    c40 = _mm256_fmadd_pd(a, b0, c40);
-    c41 = _mm256_fmadd_pd(a, b1, c41);
-    a = _mm256_broadcast_sd(ap + 5);
-    c50 = _mm256_fmadd_pd(a, b0, c50);
-    c51 = _mm256_fmadd_pd(a, b1, c51);
-    ap += kMr;
-    bp += kNr;
+    const std::size_t o = p * cs_a;
+    const __m256d b0 = _mm256_loadu_pd(b);
+    const __m256d b1 = _mm256_loadu_pd(b + 4);
+    __m256d av;
+    av = _mm256_broadcast_sd(a0 + o);
+    c00 = _mm256_fmadd_pd(av, b0, c00);
+    c01 = _mm256_fmadd_pd(av, b1, c01);
+    av = _mm256_broadcast_sd(a1 + o);
+    c10 = _mm256_fmadd_pd(av, b0, c10);
+    c11 = _mm256_fmadd_pd(av, b1, c11);
+    av = _mm256_broadcast_sd(a2 + o);
+    c20 = _mm256_fmadd_pd(av, b0, c20);
+    c21 = _mm256_fmadd_pd(av, b1, c21);
+    av = _mm256_broadcast_sd(a3 + o);
+    c30 = _mm256_fmadd_pd(av, b0, c30);
+    c31 = _mm256_fmadd_pd(av, b1, c31);
+    av = _mm256_broadcast_sd(a4 + o);
+    c40 = _mm256_fmadd_pd(av, b0, c40);
+    c41 = _mm256_fmadd_pd(av, b1, c41);
+    av = _mm256_broadcast_sd(a5 + o);
+    c50 = _mm256_fmadd_pd(av, b0, c50);
+    c51 = _mm256_fmadd_pd(av, b1, c51);
+    b += rs_b;
   }
 
-  const auto store_row = [ldc, accumulate](double* crow, __m256d lo,
-                                           __m256d hi) {
-    (void)ldc;
+  const auto store_row = [accumulate](double* crow, __m256d lo, __m256d hi) {
     if (accumulate) {
       lo = _mm256_add_pd(_mm256_loadu_pd(crow), lo);
       hi = _mm256_add_pd(_mm256_loadu_pd(crow + 4), hi);

@@ -12,13 +12,15 @@ namespace vfl::la::internal {
 namespace {
 
 // 8x16 doubles of accumulators: 16 ZMM accumulators + 2 B loads + rotating
-// broadcasts fit the 32-register file. Per k step: 2 aligned B loads, 8
-// scalar broadcasts, 16 FMAs — FMA-bound at 8 cycles for 256 flops, i.e. the
-// machine's full 32 double flops/cycle when both 512-bit FMA ports exist.
+// broadcasts fit the 32-register file. Per k step: 2 unaligned B loads, 8
+// strided scalar broadcasts, 16 FMAs — FMA-bound at 8 cycles for 256 flops,
+// i.e. the machine's full 32 double flops/cycle when both 512-bit FMA ports
+// exist.
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 16;
 
-void Avx512Kernel8x16(std::size_t kc, const double* ap, const double* bp,
+void Avx512Kernel8x16(std::size_t kc, const double* a, std::size_t rs_a,
+                      std::size_t cs_a, const double* b, std::size_t rs_b,
                       double* c, std::size_t ldc, bool accumulate) {
   __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
   __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
@@ -29,36 +31,46 @@ void Avx512Kernel8x16(std::size_t kc, const double* ap, const double* bp,
   __m512d c60 = _mm512_setzero_pd(), c61 = _mm512_setzero_pd();
   __m512d c70 = _mm512_setzero_pd(), c71 = _mm512_setzero_pd();
 
+  // Row i of the A panel at p is a[i*rs_a + p*cs_a]: one base pointer per
+  // row, indexed by p*cs_a.
+  const double* a0 = a;
+  const double* a1 = a0 + rs_a;
+  const double* a2 = a1 + rs_a;
+  const double* a3 = a2 + rs_a;
+  const double* a4 = a3 + rs_a;
+  const double* a5 = a4 + rs_a;
+  const double* a6 = a5 + rs_a;
+  const double* a7 = a6 + rs_a;
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512d b0 = _mm512_load_pd(bp);
-    const __m512d b1 = _mm512_load_pd(bp + 8);
-    __m512d a;
-    a = _mm512_set1_pd(ap[0]);
-    c00 = _mm512_fmadd_pd(a, b0, c00);
-    c01 = _mm512_fmadd_pd(a, b1, c01);
-    a = _mm512_set1_pd(ap[1]);
-    c10 = _mm512_fmadd_pd(a, b0, c10);
-    c11 = _mm512_fmadd_pd(a, b1, c11);
-    a = _mm512_set1_pd(ap[2]);
-    c20 = _mm512_fmadd_pd(a, b0, c20);
-    c21 = _mm512_fmadd_pd(a, b1, c21);
-    a = _mm512_set1_pd(ap[3]);
-    c30 = _mm512_fmadd_pd(a, b0, c30);
-    c31 = _mm512_fmadd_pd(a, b1, c31);
-    a = _mm512_set1_pd(ap[4]);
-    c40 = _mm512_fmadd_pd(a, b0, c40);
-    c41 = _mm512_fmadd_pd(a, b1, c41);
-    a = _mm512_set1_pd(ap[5]);
-    c50 = _mm512_fmadd_pd(a, b0, c50);
-    c51 = _mm512_fmadd_pd(a, b1, c51);
-    a = _mm512_set1_pd(ap[6]);
-    c60 = _mm512_fmadd_pd(a, b0, c60);
-    c61 = _mm512_fmadd_pd(a, b1, c61);
-    a = _mm512_set1_pd(ap[7]);
-    c70 = _mm512_fmadd_pd(a, b0, c70);
-    c71 = _mm512_fmadd_pd(a, b1, c71);
-    ap += kMr;
-    bp += kNr;
+    const std::size_t o = p * cs_a;
+    const __m512d b0 = _mm512_loadu_pd(b);
+    const __m512d b1 = _mm512_loadu_pd(b + 8);
+    __m512d av;
+    av = _mm512_set1_pd(a0[o]);
+    c00 = _mm512_fmadd_pd(av, b0, c00);
+    c01 = _mm512_fmadd_pd(av, b1, c01);
+    av = _mm512_set1_pd(a1[o]);
+    c10 = _mm512_fmadd_pd(av, b0, c10);
+    c11 = _mm512_fmadd_pd(av, b1, c11);
+    av = _mm512_set1_pd(a2[o]);
+    c20 = _mm512_fmadd_pd(av, b0, c20);
+    c21 = _mm512_fmadd_pd(av, b1, c21);
+    av = _mm512_set1_pd(a3[o]);
+    c30 = _mm512_fmadd_pd(av, b0, c30);
+    c31 = _mm512_fmadd_pd(av, b1, c31);
+    av = _mm512_set1_pd(a4[o]);
+    c40 = _mm512_fmadd_pd(av, b0, c40);
+    c41 = _mm512_fmadd_pd(av, b1, c41);
+    av = _mm512_set1_pd(a5[o]);
+    c50 = _mm512_fmadd_pd(av, b0, c50);
+    c51 = _mm512_fmadd_pd(av, b1, c51);
+    av = _mm512_set1_pd(a6[o]);
+    c60 = _mm512_fmadd_pd(av, b0, c60);
+    c61 = _mm512_fmadd_pd(av, b1, c61);
+    av = _mm512_set1_pd(a7[o]);
+    c70 = _mm512_fmadd_pd(av, b0, c70);
+    c71 = _mm512_fmadd_pd(av, b1, c71);
+    b += rs_b;
   }
 
   const auto store_row = [accumulate](double* crow, __m512d lo, __m512d hi) {

@@ -1,6 +1,7 @@
 #include "la/gemm_packed.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <new>
 
@@ -9,11 +10,11 @@ namespace vfl::la::internal {
 namespace {
 
 // Cache blocking, shared by every microkernel tier. A kc x nr B panel
-// (320 x 8/16 doubles = 20/40 KiB) stays L1-resident across the whole row
-// block; an mc x kc A block (<= ~320 KiB) stays in L2 while it streams
-// against every B panel of the column block; nc bounds the packed-B
-// footprint for very wide outputs.
-constexpr std::size_t kBlockKc = 320;
+// (kGemmBlockK = 320 x 8/16 doubles = 20/40 KiB) stays close to L1 across
+// the whole row block; an mc x kc A block (<= ~320 KiB) stays in L2 while it
+// streams against every B panel of the column block; nc bounds the packed-B
+// footprint of a transposed B for very wide outputs.
+constexpr std::size_t kBlockKc = kGemmBlockK;
 constexpr std::size_t kBlockMc = 128;
 constexpr std::size_t kBlockNc = 4096;
 
@@ -52,31 +53,18 @@ struct PackScratch {
 
 thread_local PackScratch t_scratch;
 
-/// Packs rows [row0, row0+mc) x k-range [pc, pc+kc) of operand A into
-/// ceil(mc/mr) consecutive k-major panels of kc*mr doubles; rows past mc in
-/// the last panel are zero-filled. With trans, operand element A(i, p) is
-/// a(p, i) — the transposed read order is also the sequential one.
-void PackPanelsA(const Matrix& a, bool trans, std::size_t row0, std::size_t mc,
-                 std::size_t pc, std::size_t kc, std::size_t mr, double* dst) {
-  for (std::size_t ip = 0; ip < mc; ip += mr) {
-    const std::size_t mre = std::min(mr, mc - ip);
-    if (trans) {
-      for (std::size_t p = 0; p < kc; ++p) {
-        const double* src = a.RowPtr(pc + p) + row0 + ip;
-        double* out = dst + p * mr;
-        for (std::size_t i = 0; i < mre; ++i) out[i] = src[i];
-        for (std::size_t i = mre; i < mr; ++i) out[i] = 0.0;
-      }
-    } else {
-      for (std::size_t i = 0; i < mre; ++i) {
-        const double* src = a.RowPtr(row0 + ip + i) + pc;
-        for (std::size_t p = 0; p < kc; ++p) dst[p * mr + i] = src[p];
-      }
-      for (std::size_t i = mre; i < mr; ++i) {
-        for (std::size_t p = 0; p < kc; ++p) dst[p * mr + i] = 0.0;
-      }
+/// Packs the row-tail A panel: rows [row0, row0+rows) (rows < mr) x k-range
+/// [pc, pc+kc) of operand A into one k-major panel of kc*mr doubles, rows
+/// past `rows` zero-filled. With trans, operand element A(i, p) is a(p, i).
+void PackTailPanelA(const Matrix& a, bool trans, std::size_t row0,
+                    std::size_t rows, std::size_t pc, std::size_t kc,
+                    std::size_t mr, double* dst) {
+  for (std::size_t p = 0; p < kc; ++p) {
+    double* out = dst + p * mr;
+    for (std::size_t i = 0; i < rows; ++i) {
+      out[i] = trans ? a(pc + p, row0 + i) : a(row0 + i, pc + p);
     }
-    dst += kc * mr;
+    for (std::size_t i = rows; i < mr; ++i) out[i] = 0.0;
   }
 }
 
@@ -108,30 +96,41 @@ void PackPanelsB(const Matrix& b, bool trans, std::size_t pc, std::size_t kc,
   }
 }
 
-/// Scalar 4x8 microkernel. The accumulator block lives in locals with one
-/// ascending-k chain per element; baseline -O2/-O3 vectorizes the j loop.
+/// Portable 4x8 microkernel. Each row of the accumulator tile is four
+/// two-lane vectors (GCC/Clang vector extension, lowered to whatever the
+/// target has: SSE2 in the portable x86 build). A plain scalar loop over
+/// strided operands gets vectorized across k by the compiler, which spills
+/// the whole tile; explicit lanes keep the one-chain-per-element shape.
+/// This TU is built with -ffp-contract=off, so every lane is a plain
+/// multiply-then-add: the same bits as the scalar chain on every machine.
 constexpr std::size_t kGenericMr = 4;
 constexpr std::size_t kGenericNr = 8;
 
-void GenericKernel4x8(std::size_t kc, const double* ap, const double* bp,
+void GenericKernel4x8(std::size_t kc, const double* a, std::size_t rs_a,
+                      std::size_t cs_a, const double* b, std::size_t rs_b,
                       double* c, std::size_t ldc, bool accumulate) {
-  double acc[kGenericMr * kGenericNr] = {0.0};
+  using Lanes = double __attribute__((vector_size(2 * sizeof(double))));
+  constexpr std::size_t kVecs = kGenericNr / 2;
+  Lanes acc[kGenericMr][kVecs] = {};
   for (std::size_t p = 0; p < kc; ++p) {
-    const double* a = ap + p * kGenericMr;
-    const double* b = bp + p * kGenericNr;
+    const double* ak = a + p * cs_a;
+    const double* bk = b + p * rs_b;
+    Lanes bv[kVecs];
+    for (std::size_t j = 0; j < kVecs; ++j) {
+      std::memcpy(&bv[j], bk + 2 * j, sizeof(Lanes));
+    }
     for (std::size_t i = 0; i < kGenericMr; ++i) {
-      const double av = a[i];
-      double* arow = acc + i * kGenericNr;
-      for (std::size_t j = 0; j < kGenericNr; ++j) arow[j] += av * b[j];
+      const double av = ak[i * rs_a];
+      for (std::size_t j = 0; j < kVecs; ++j) acc[i][j] += av * bv[j];
     }
   }
   for (std::size_t i = 0; i < kGenericMr; ++i) {
     double* crow = c + i * ldc;
-    const double* arow = acc + i * kGenericNr;
-    if (accumulate) {
-      for (std::size_t j = 0; j < kGenericNr; ++j) crow[j] += arow[j];
-    } else {
-      for (std::size_t j = 0; j < kGenericNr; ++j) crow[j] = arow[j];
+    for (std::size_t j = 0; j < kVecs; ++j) {
+      for (std::size_t l = 0; l < 2; ++l) {
+        crow[2 * j + l] = accumulate ? crow[2 * j + l] + acc[i][j][l]
+                                     : acc[i][j][l];
+      }
     }
   }
 }
@@ -174,6 +173,11 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
     return;
   }
 
+  // Operand A(i, p) lies at a[i*a_rs + p*a_cs]; operand B(p, j) of an
+  // untransposed B at b[p*ldb + j].
+  const std::size_t a_rs = trans_a ? 1 : a.cols();
+  const std::size_t a_cs = trans_a ? a.cols() : 1;
+  const std::size_t ldb = b.cols();
   PackScratch& s = t_scratch;
   const std::size_t mc_block = std::max(mr, kBlockMc / mr * mr);
   double* c_tmp = s.c_tile.Ensure(mr * nr);
@@ -181,33 +185,54 @@ void PackedGemmRowRange(const Matrix& a, bool trans_a, const Matrix& b,
   for (std::size_t jc = 0; jc < n; jc += kBlockNc) {
     const std::size_t nc = std::min(kBlockNc, n - jc);
     const std::size_t nc_padded = (nc + nr - 1) / nr * nr;
+    // Columns [0, n_full) of the block are read in place; the rest (all of
+    // a transposed B, else the column tail) is packed per k block.
+    const std::size_t n_full = trans_b ? 0 : nc / nr * nr;
     for (std::size_t pc = 0; pc < k; pc += kBlockKc) {
       const std::size_t kc = std::min(kBlockKc, k - pc);
       // The first k block either overwrites C or (with accumulate) adds to
       // the caller's contents; later k blocks always add. One add per block
       // per element, blocks ascending — deterministic for any row split.
       const bool first = pc == 0 && !accumulate;
-      double* bp = s.b.Ensure(kc * nc_padded);
-      PackPanelsB(b, trans_b, pc, kc, jc, nc, nr, bp);
+      double* bp = nullptr;
+      if (n_full < nc) {
+        bp = s.b.Ensure(kc * (nc_padded - n_full));
+        PackPanelsB(b, trans_b, pc, kc, jc + n_full, nc - n_full, nr, bp);
+      }
       for (std::size_t ic = r0; ic < r1; ic += mc_block) {
         const std::size_t mc = std::min(mc_block, r1 - ic);
-        const std::size_t mc_padded = (mc + mr - 1) / mr * mr;
-        double* ap = s.a.Ensure(mc_padded * kc);
-        PackPanelsA(a, trans_a, ic, mc, pc, kc, mr, ap);
+        // Rows [0, m_full) of the block are read in place; a row tail is
+        // packed.
+        const std::size_t m_full = mc / mr * mr;
+        double* ap = nullptr;
+        if (m_full < mc) {
+          ap = s.a.Ensure(kc * mr);
+          PackTailPanelA(a, trans_a, ic + m_full, mc - m_full, pc, kc, mr,
+                         ap);
+        }
         for (std::size_t jp = 0; jp < nc; jp += nr) {
-          const double* bpanel = bp + (jp / nr) * kc * nr;
           const std::size_t nre = std::min(nr, nc - jp);
+          const bool b_in_place = jp < n_full;
+          const double* bpanel = b_in_place
+                                     ? b.data() + pc * ldb + jc + jp
+                                     : bp + (jp - n_full) / nr * kc * nr;
+          const std::size_t rs_b = b_in_place ? ldb : nr;
           for (std::size_t ip = 0; ip < mc; ip += mr) {
-            const double* apanel = ap + (ip / mr) * kc * mr;
             const std::size_t mre = std::min(mr, mc - ip);
+            const bool a_in_place = ip < m_full;
+            const double* apanel =
+                a_in_place ? a.data() + (ic + ip) * a_rs + pc * a_cs : ap;
+            const std::size_t rs_a = a_in_place ? a_rs : 1;
+            const std::size_t cs_a = a_in_place ? a_cs : mr;
             if (mre == mr && nre == nr) {
-              uk.kernel(kc, apanel, bpanel,
+              uk.kernel(kc, apanel, rs_a, cs_a, bpanel, rs_b,
                         out->RowPtr(ic + ip) + jc + jp, ldc, !first);
             } else {
               // Edge tile: compute the full (zero-padded) mr x nr tile into
               // scratch, then copy/add only the valid region. Same per-
               // element arithmetic as the interior store.
-              uk.kernel(kc, apanel, bpanel, c_tmp, nr, false);
+              uk.kernel(kc, apanel, rs_a, cs_a, bpanel, rs_b, c_tmp, nr,
+                        false);
               for (std::size_t i = 0; i < mre; ++i) {
                 double* crow = out->RowPtr(ic + ip + i) + jc + jp;
                 const double* trow = c_tmp + i * nr;

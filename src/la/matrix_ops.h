@@ -11,12 +11,14 @@ namespace vfl::la {
 /// capacity reused — the allocation-free hot path for training loops); the
 /// allocating forms are thin wrappers kept for call sites off the hot path.
 ///
-/// Every product, whatever its shape, runs one BLIS-style packed GEMM:
-/// panels of A and B are packed into aligned thread-local scratch (reused
-/// across blocks and calls) and multiplied by an explicit register-blocked
-/// microkernel — AVX-512F 8x16, AVX2/FMA 6x8, or a portable scalar 4x8 —
-/// chosen at runtime by cpuid-based detection (see la/cpu_features.h),
-/// overridable via VFLFIA_LA_KERNEL or SetKernelPath().
+/// Every product, whatever its shape, runs one BLIS-style blocked GEMM
+/// (la/gemm_packed.h) with an explicit register-blocked microkernel —
+/// AVX-512F 8x16, AVX2/FMA 6x8, or a portable 4x8 — chosen at runtime by
+/// cpuid-based detection (see la/cpu_features.h), overridable via
+/// VFLFIA_LA_KERNEL or SetKernelPath(). The microkernels read full A panels
+/// (either orientation) and full panels of an untransposed B in place; only
+/// a transposed B and the row/column tail panels are packed, into aligned
+/// thread-local scratch reused across blocks and calls.
 ///
 /// Output rows split over la::ParallelFor once the FLOP count justifies it.
 /// Every output element is one ascending-k accumulation chain per k block

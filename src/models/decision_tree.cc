@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace vfl::models {
 
@@ -141,22 +142,41 @@ DecisionTree::SplitChoice DecisionTree::FindBestSplit(
   for (const std::size_t r : rows) ++parent_counts[dataset.y[r]];
   const double parent_gini = Gini(parent_counts, rows.size());
 
+  // One sorted sweep per feature: with the (value, label) pairs in
+  // ascending value order, the left child of threshold t is the prefix of
+  // values <= t, and the thresholds ascend, so one pointer advances across
+  // all of them. Class counts are integers, so every gain equals that of a
+  // rescan of the rows per threshold, bit for bit.
+  std::vector<std::pair<double, int>> sorted;
+  sorted.reserve(rows.size());
   std::vector<double> values;
   values.reserve(rows.size());
+  std::vector<double> thresholds;
+  thresholds.reserve(config.max_threshold_candidates);
+  std::vector<std::size_t> left_counts(num_classes_);
+  std::vector<std::size_t> right_counts(num_classes_);
   for (const std::size_t feature : features) {
+    sorted.clear();
+    for (const std::size_t r : rows) {
+      sorted.emplace_back(dataset.x(r, feature), dataset.y[r]);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const std::pair<double, int>& l,
+                 const std::pair<double, int>& r) { return l.first < r.first; });
     values.clear();
-    for (const std::size_t r : rows) values.push_back(dataset.x(r, feature));
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
+    for (const std::pair<double, int>& entry : sorted) {
+      if (values.empty() || entry.first != values.back()) {
+        values.push_back(entry.first);
+      }
+    }
     if (values.size() < 2) continue;
 
     // Candidate thresholds: midpoints between consecutive distinct values,
-    // subsampled at quantiles when there are too many.
-    std::vector<double> thresholds;
+    // subsampled at quantiles when there are too many. They ascend.
+    thresholds.clear();
     const std::size_t num_gaps = values.size() - 1;
     const std::size_t num_candidates =
         std::min(num_gaps, config.max_threshold_candidates);
-    thresholds.reserve(num_candidates);
     for (std::size_t k = 0; k < num_candidates; ++k) {
       const std::size_t gap =
           num_gaps <= config.max_threshold_candidates
@@ -165,21 +185,19 @@ DecisionTree::SplitChoice DecisionTree::FindBestSplit(
       thresholds.push_back(0.5 * (values[gap] + values[gap + 1]));
     }
 
+    std::fill(left_counts.begin(), left_counts.end(), 0);
+    std::size_t left_total = 0;
     for (const double threshold : thresholds) {
-      std::vector<std::size_t> left_counts(num_classes_, 0);
-      std::size_t left_total = 0;
-      for (const std::size_t r : rows) {
-        if (dataset.x(r, feature) <= threshold) {
-          ++left_counts[dataset.y[r]];
-          ++left_total;
-        }
+      while (left_total < sorted.size() &&
+             sorted[left_total].first <= threshold) {
+        ++left_counts[sorted[left_total].second];
+        ++left_total;
       }
       const std::size_t right_total = rows.size() - left_total;
       if (left_total < config.min_samples_leaf ||
           right_total < config.min_samples_leaf) {
         continue;
       }
-      std::vector<std::size_t> right_counts(num_classes_);
       for (std::size_t k = 0; k < num_classes_; ++k) {
         right_counts[k] = parent_counts[k] - left_counts[k];
       }

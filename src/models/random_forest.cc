@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "la/parallel.h"
+
 namespace vfl::models {
 
 void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
@@ -21,16 +23,25 @@ void RandomForest::Fit(const data::Dataset& dataset, const RfConfig& config) {
       1, static_cast<std::size_t>(config.bootstrap_fraction *
                                   static_cast<double>(n)));
 
+  // Fork every tree's stream first, in tree order, so tree t sees the same
+  // randomness however the trees are then spread over threads.
   core::Rng rng(config.seed);
-  trees_.assign(config.num_trees, DecisionTree{});
-  for (DecisionTree& tree : trees_) {
-    core::Rng tree_rng = rng.Fork();
-    std::vector<std::size_t> rows(bootstrap_size);
-    for (std::size_t i = 0; i < bootstrap_size; ++i) {
-      rows[i] = tree_rng.UniformInt(n);
-    }
-    tree.FitRows(dataset, rows, tree_config, tree_rng);
+  std::vector<core::Rng> tree_rngs;
+  tree_rngs.reserve(config.num_trees);
+  for (std::size_t t = 0; t < config.num_trees; ++t) {
+    tree_rngs.push_back(rng.Fork());
   }
+  trees_.assign(config.num_trees, DecisionTree{});
+  la::ParallelFor(0, config.num_trees, 1, [&](std::size_t t0, std::size_t t1) {
+    std::vector<std::size_t> rows(bootstrap_size);
+    for (std::size_t t = t0; t < t1; ++t) {
+      core::Rng& tree_rng = tree_rngs[t];
+      for (std::size_t i = 0; i < bootstrap_size; ++i) {
+        rows[i] = tree_rng.UniformInt(n);
+      }
+      trees_[t].FitRows(dataset, rows, tree_config, tree_rng);
+    }
+  });
 }
 
 RandomForest RandomForest::FromTrees(std::vector<DecisionTree> trees) {

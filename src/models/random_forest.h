@@ -29,6 +29,8 @@ class RandomForest : public Model {
 
   /// Trains `config.num_trees` trees on bootstrap samples; per-split feature
   /// subsampling defaults to sqrt(d) when config.tree.max_features == 0.
+  /// Trees are built over la::ParallelFor, each from its own forked Rng, so
+  /// the forest is identical for every thread count.
   void Fit(const data::Dataset& dataset, const RfConfig& config = {});
 
   /// Assembles a forest from already-built trees (deserialization, tests).

@@ -1,13 +1,21 @@
 // Tests for the packed/parallel GEMM entry points and the ParallelFor helpers:
 // equivalence to a naive in-test reference on random shapes (including
 // non-multiples of the block sizes), accumulate semantics, aliasing guards,
-// and bit-identical results across kernel thread counts.
+// bit-identical results across kernel thread counts, and the driver's
+// per-element arithmetic reproduced bit for bit on every dispatch tier, for
+// every operand orientation, whether a panel is read in place or packed.
+// Built with -ffp-contract=off so the multiply-then-add reference stays
+// unfused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <vector>
 
 #include "core/rng.h"
+#include "la/cpu_features.h"
+#include "la/gemm_packed.h"
 #include "la/matrix.h"
 #include "la/matrix_ops.h"
 #include "la/parallel.h"
@@ -173,6 +181,127 @@ TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
 
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial_tb, parallel_tb);
+}
+
+/// out(i, j) (+)= sum_p op_a(a)(i, p) * op_b(b)(p, j) exactly as the driver
+/// computes it: per k block of kGemmBlockK steps, one ascending chain from
+/// zero (std::fma on the SIMD tiers, multiply-then-add on generic), then
+/// one store (first block without accumulate) or one add to C.
+void ReferenceGemm(const Matrix& a, bool trans_a, const Matrix& b,
+                   bool trans_b, bool fused, bool accumulate, Matrix* out) {
+  const std::size_t k = trans_a ? a.rows() : a.cols();
+  for (std::size_t i = 0; i < out->rows(); ++i) {
+    for (std::size_t j = 0; j < out->cols(); ++j) {
+      double c = (*out)(i, j);
+      for (std::size_t pc = 0; pc < k; pc += internal::kGemmBlockK) {
+        const std::size_t pe = std::min(k, pc + internal::kGemmBlockK);
+        double chain = 0.0;
+        for (std::size_t p = pc; p < pe; ++p) {
+          const double av = trans_a ? a(p, i) : a(i, p);
+          const double bv = trans_b ? b(j, p) : b(p, j);
+          chain = fused ? std::fma(av, bv, chain) : chain + av * bv;
+        }
+        c = pc == 0 && !accumulate ? chain : c + chain;
+      }
+      if (k == 0 && !accumulate) c = 0.0;
+      (*out)(i, j) = c;
+    }
+  }
+}
+
+std::vector<KernelPath> HostPaths() {
+  std::vector<KernelPath> paths;
+  for (const KernelPath p :
+       {KernelPath::kGeneric, KernelPath::kAvx2, KernelPath::kAvx512}) {
+    if (CpuSupportsKernelPath(p)) paths.push_back(p);
+  }
+  return paths;
+}
+
+TEST(GemmTest, EveryOrientationMatchesPerElementReferenceBitForBit) {
+  // m and n off every tier's mr/nr grid (4x8, 6x8, 8x16); k = 700 spans
+  // three k blocks, so in-place panels are read from k offsets 320 and 640.
+  // n = 4100 crosses the 4096-column block. Row ranges start mid-panel and
+  // end inside the matrix, so a packed row-tail panel sits mid-operand.
+  struct Case {
+    std::size_t m, k, n;
+  };
+  const Case cases[] = {{37, 700, 45}, {19, 333, 16}, {9, 5, 4100},
+                        {1, 41, 11}};
+  core::Rng rng(19);
+  for (const KernelPath path : HostPaths()) {
+    const internal::GemmMicrokernel& uk = *internal::MicrokernelForPath(path);
+    const bool fused = path != KernelPath::kGeneric;
+    for (const Case& c : cases) {
+      for (const bool trans_a : {false, true}) {
+        for (const bool trans_b : {false, true}) {
+          const Matrix a = trans_a ? RandomMatrix(c.k, c.m, rng)
+                                   : RandomMatrix(c.m, c.k, rng);
+          const Matrix b = trans_b ? RandomMatrix(c.n, c.k, rng)
+                                   : RandomMatrix(c.k, c.n, rng);
+          const Matrix base = RandomMatrix(c.m, c.n, rng);
+          for (const bool accumulate : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << KernelPathName(path) << " " << c.m << "x" << c.k
+                         << "x" << c.n << " trans_a=" << trans_a
+                         << " trans_b=" << trans_b
+                         << " accumulate=" << accumulate);
+            Matrix want = base;
+            ReferenceGemm(a, trans_a, b, trans_b, fused, accumulate, &want);
+            // Whole range, then a split whose pieces start mid-panel.
+            const std::size_t cut1 = std::min<std::size_t>(3, c.m);
+            const std::size_t cut2 = std::min(c.m, cut1 + 2 * uk.mr + 1);
+            const std::vector<std::vector<std::size_t>> splits = {
+                {0, c.m}, {0, cut1, cut2, c.m}};
+            for (const std::vector<std::size_t>& split : splits) {
+              Matrix got = base;
+              for (std::size_t s = 0; s + 1 < split.size(); ++s) {
+                internal::PackedGemmRowRange(a, trans_a, b, trans_b, &got,
+                                             accumulate, uk, split[s],
+                                             split[s + 1]);
+              }
+              EXPECT_EQ(got, want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, EntryPointsMatchPerElementReferenceOnEveryTier) {
+  // The public entry points on the dispatched tier, at a size that crosses
+  // the parallel threshold: the row split must not show in the bits.
+  core::Rng rng(23);
+  const Matrix x = RandomMatrix(131, 340, rng);
+  const Matrix w = RandomMatrix(340, 70, rng);
+  const Matrix dy = RandomMatrix(131, 70, rng);
+  for (const KernelPath path : HostPaths()) {
+    ASSERT_EQ(SetKernelPath(path), path);
+    SCOPED_TRACE(KernelPathName(path).data());
+    const bool fused = path != KernelPath::kGeneric;
+    for (const std::size_t threads : {1u, 4u}) {
+      SetNumThreads(threads);
+      Matrix got;
+      MatMulInto(x, w, &got);
+      Matrix want(131, 70);
+      ReferenceGemm(x, false, w, false, fused, false, &want);
+      EXPECT_EQ(got, want);
+
+      MatMulTransposedBInto(dy, w, &got);  // dY * W^T
+      want = Matrix(131, 340);
+      ReferenceGemm(dy, false, w, true, fused, false, &want);
+      EXPECT_EQ(got, want);
+
+      Matrix grad = RandomMatrix(340, 70, rng);  // dW += X^T * dY
+      want = grad;
+      MatMulTransposedAInto(x, dy, &grad, /*accumulate=*/true);
+      ReferenceGemm(x, true, dy, false, fused, true, &want);
+      EXPECT_EQ(grad, want);
+    }
+  }
+  ResetKernelPathToAuto();
+  SetNumThreads(1);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
